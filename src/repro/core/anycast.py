@@ -34,12 +34,13 @@ def arc_moved_fraction(positions_a: np.ndarray, owners_a: np.ndarray,
                        space: int) -> float:
     """Key-space fraction whose owner differs between two ring states.
 
-    The single implementation behind both :meth:`RingSnapshot.diff` and the
-    fleet simulator's array fast path: every arc between consecutive
-    boundary points (the union of both rings' points) has one owner per
-    ring — probe each arc's upper end (inclusive successor semantics,
-    wrapping the final arc past the last point to the first) and sum the
-    lengths of arcs whose owners disagree.  Owner arrays are integer ids
+    The walk behind :meth:`RingSnapshot.diff`, and the reference the fleet
+    simulator's arc table (:meth:`repro.scale.fleet.NeutralizerFleet.ring_moved_fraction`)
+    is tested against: every arc between consecutive boundary points (the
+    union of both rings' points) has one owner per ring — probe each arc's
+    upper end (inclusive successor semantics, wrapping the final arc past
+    the last point to the first) and sum the lengths of arcs whose owners
+    disagree.  Owner arrays are integer ids
     shared between the two rings; arc lengths are summed in exact Python
     ints, so an identity diff is exactly 0.0.
     """

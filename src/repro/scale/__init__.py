@@ -36,9 +36,9 @@ clients as aggregate fluid demand instead:
     Glue that turns (population, fleet, access network) into a solver
     problem and interprets the allocation as per-class goodput and
     per-site utilization; the O(n_clients) structure is cached in a
-    :class:`ProblemTemplate` reused across epochs and sweep points, and a
-    ring change rebuilds it *incrementally* in O(moved clients) via the
-    population's sorted-position segment view.
+    :class:`ProblemTemplate` reused across epochs and sweep points; it
+    counts clients once per arc of the fleet's hash ring, so a ring change
+    only regroups those arc counts by owner — O(arcs), not O(clients).
 ``timeline``
     The time-stepped fluid simulator: load curves (diurnal, flash crowd,
     ramp), fleet events (failure/recovery, degradation, discrimination

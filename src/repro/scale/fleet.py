@@ -7,9 +7,11 @@ packet-level simulator, one :class:`repro.core.neutralizer.Neutralizer` on a
 border router; here, a CPU budget (cores × the calibrated per-packet cost)
 plus an uplink.  Clients are spread over healthy sites with the
 :class:`repro.core.anycast.ConsistentHashRing`, evaluated vectorized: the
-ring's position table is pulled into numpy arrays once and a million clients
-are assigned with a single ``searchsorted``.  Failing a site withdraws its
-ring points, so exactly the failed site's clients move — the fleet-level
+ring's points are hashed and sorted once into an *arc table* (every site's
+points, in service or not), a membership change re-derives only each arc's
+owning site, and a million clients are assigned with a single
+``searchsorted``.  Failing a site hands its arcs to the next in-service
+points, so exactly the failed site's clients move — the fleet-level
 analogue of a router withdrawing its anycast route.
 """
 
@@ -82,22 +84,31 @@ class NeutralizerFleet:
         self.cost_model = cost_model or CryptoCostModel.default()
         self.replicas = replicas
         self._index_by_name: Dict[str, int] = {name: i for i, name in enumerate(names)}
-        # Every site's ring points are hashed once here (through an empty
-        # ring, so the hash stays the single source of truth); membership
-        # changes then assemble the in-service table from these cached
-        # arrays instead of re-hashing, so a failover epoch costs an argsort
-        # over ~10^3 points, not thousands of blake2b calls plus sorted
-        # list inserts.
+        # One arc table for the whole ring: every site's points are hashed
+        # once (through an empty ring, so the hash stays the single source
+        # of truth) and sorted once, in service or not.  Arc ``k`` is the
+        # hash-space interval ``(points[k-1], points[k]]`` and arc 0 wraps
+        # past the last point to the first; a membership change only
+        # re-derives each arc's owning site, with no re-hashing or sorting.
         hasher = ConsistentHashRing([], replicas=replicas)
-        self._site_points: Dict[str, np.ndarray] = {}
-        for name in names:
-            points = np.fromiter(
-                (hasher._position(f"{name}#{replica}".encode())
-                 for replica in range(replicas)),
-                dtype=np.uint64, count=replicas,
-            )
-            points.sort()
-            self._site_points[name] = points
+        positions = np.fromiter(
+            (hasher._position(f"{name}#{replica}".encode())
+             for name in names for replica in range(replicas)),
+            dtype=np.uint64, count=len(names) * replicas,
+        )
+        order = np.argsort(positions, kind="stable")
+        #: Every site's ring points, ascending (ties keep site order).
+        self.points = positions[order]
+        #: The site index (into :attr:`sites`) of each of :attr:`points`.
+        self.point_site = order // replicas
+        bounds = [int(point) for point in self.points]
+        # Arc lengths as exact Python ints: the wrap-around arc of a
+        # one-point ring is the whole 2^64 space, which no uint64 holds.
+        self._arc_lengths = np.array(
+            [(1 << ConsistentHashRing._SPACE_BITS) - bounds[-1] + bounds[0]]
+            + [high - low for low, high in zip(bounds, bounds[1:])],
+            dtype=object,
+        )
         self._ring_object: Optional[ConsistentHashRing] = None
         self._cpu_capacity: Optional[np.ndarray] = None
         self._uplink_capacity: Optional[np.ndarray] = None
@@ -138,22 +149,18 @@ class NeutralizerFleet:
     # -- health and commissioning ----------------------------------------------------
 
     def _rebuild_ring(self) -> None:
-        serving = [site.name for site in self.sites if site.in_service]
-        if not serving:
-            raise TopologyError("every site of the fleet is out of service")
-        positions = np.concatenate([self._site_points[name] for name in serving])
-        owners = np.concatenate([
-            np.full(self._site_points[name].size, self._index_by_name[name],
-                    dtype=np.int64)
-            for name in serving
-        ])
-        order = np.argsort(positions, kind="stable")
-        self._ring_positions = positions[order]
-        self._ring_owner_index = owners[order]
         self._ring_object = None
         self._cpu_capacity = None
         self._uplink_capacity = None
         self._service_mask = None
+        serving = np.flatnonzero(self.in_service_mask()[self.point_site])
+        if not serving.size:
+            raise TopologyError("every site of the fleet is out of service")
+        # Each arc belongs to the first in-service point at or after it,
+        # wrapping past the last one back to the first.
+        successor = np.searchsorted(serving, np.arange(self.points.size))
+        successor[successor == serving.size] = 0
+        self._arc_owner = self.point_site[serving[successor]]
         self.generation += 1
 
     @property
@@ -202,37 +209,33 @@ class NeutralizerFleet:
         """Freeze the current ring state (see :meth:`ConsistentHashRing.snapshot`)."""
         from ..core.anycast import RingSnapshot
 
+        serving = self.in_service_mask()[self.point_site]
         return RingSnapshot(
-            positions=tuple(int(p) for p in self._ring_positions),
-            owners=tuple(self.sites[i].name for i in self._ring_owner_index),
+            positions=tuple(int(p) for p in self.points[serving]),
+            owners=tuple(self.sites[i].name for i in self.point_site[serving]),
         )
 
-    def ring_state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ring's (positions, owner indices) arrays, cheap to snapshot.
+    def ring_state(self) -> np.ndarray:
+        """The owning site index of every arc of :attr:`points`.
 
-        Rebuilds allocate fresh arrays, so holding the returned references
+        Rebuilds allocate a fresh array, so holding the returned reference
         across a membership change is a valid zero-copy snapshot — the fast
         path timelines use for per-epoch churn accounting (the tuple-based
         :meth:`ring_snapshot` stays for API/diagnostic use).
         """
-        return self._ring_positions, self._ring_owner_index
+        return self._arc_owner
 
-    @staticmethod
-    def ring_moved_fraction(before: Tuple[np.ndarray, np.ndarray],
-                            after: Tuple[np.ndarray, np.ndarray]) -> float:
+    def ring_moved_fraction(self, before: np.ndarray, after: np.ndarray) -> float:
         """Hash-space fraction whose owner differs between two ring states.
 
-        Same arc semantics as :meth:`repro.core.anycast.RingSnapshot.diff` —
-        both delegate to :func:`repro.core.anycast.arc_moved_fraction` —
-        but operating directly on the position/owner-index arrays from
-        :meth:`ring_state`, with no tuple conversion.
+        ``before`` and ``after`` are :meth:`ring_state` arrays of this fleet.
+        The lengths of the arcs whose owner changed are summed as exact
+        Python ints, so the figure equals
+        :meth:`repro.core.anycast.RingSnapshot.diff`'s bit for bit, and is
+        exactly 1.0 when every arc moves.
         """
-        from ..core.anycast import ConsistentHashRing, arc_moved_fraction
-
-        return arc_moved_fraction(
-            before[0], before[1], after[0], after[1],
-            1 << ConsistentHashRing._SPACE_BITS,
-        )
+        moved = self._arc_lengths[before != after].sum()
+        return int(moved) / (1 << ConsistentHashRing._SPACE_BITS)
 
     def site(self, name: str) -> FleetSite:
         """Look up one site by name."""
@@ -319,36 +322,26 @@ class NeutralizerFleet:
         """Map client ring positions to site indices (into :attr:`sites`).
 
         The successor lookup of :meth:`ConsistentHashRing.site_for`, done for
-        the whole population at once with ``searchsorted`` (wrapping past the
-        last ring point back to the first).
+        the whole population at once: one ``searchsorted`` finds each
+        client's arc (wrapping past the last point to arc 0), whose owner is
+        the client's site.
         """
-        slots = np.searchsorted(self._ring_positions, ring_positions, side="left")
-        slots[slots == len(self._ring_positions)] = 0
-        return self._ring_owner_index[slots]
+        arcs = np.searchsorted(self.points, ring_positions, side="left")
+        arcs[arcs == self.points.size] = 0
+        return self._arc_owner[arcs]
 
-    def assignment_segments(self, positions_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The ring assignment of *sorted* client positions, as segments.
+    def arcs_of_sorted(self, positions_sorted: np.ndarray) -> np.ndarray:
+        """The arc index of each of ``positions_sorted`` (ascending).
 
-        Instead of looking up every client (O(n_clients log ring)), invert
-        the lookup: ``searchsorted`` the ring's points into the sorted client
-        positions, which costs O(ring points × log n_clients) and describes
-        the whole assignment as contiguous segments.  Returns ``(cuts,
-        owners)`` where clients ``cuts[i]:cuts[i + 1]`` of the sorted order
-        belong to site index ``owners[i]`` (the final segment wraps past the
-        last ring point back to the first).  Equivalent to
-        :meth:`assign_sites` on the same positions, verified by tests;
-        :class:`repro.scale.scenario.ProblemTemplate` diffs two segment
-        structures to update group counts in O(moved clients) after a ring
-        change.
+        The same arcs :meth:`assign_sites` looks up, found from the other
+        side: with the clients sorted, arc ``k``'s clients are the slice
+        between the cuts of ``points[k-1]`` and ``points[k]``, and the
+        clients past the last point wrap into arc 0 — O(points log n)
+        searches plus one ``repeat``, instead of a search per client.
         """
-        bounds = np.searchsorted(positions_sorted, self._ring_positions, side="right")
-        cuts = np.concatenate([
-            np.zeros(1, dtype=np.int64),
-            bounds.astype(np.int64),
-            np.array([positions_sorted.size], dtype=np.int64),
-        ])
-        owners = np.concatenate([self._ring_owner_index, self._ring_owner_index[:1]])
-        return cuts, owners
+        cuts = np.searchsorted(positions_sorted, self.points, side="right")
+        return np.repeat(np.append(np.arange(self.points.size), 0),
+                         np.diff(cuts, prepend=0, append=positions_sorted.size))
 
     # -- capacity --------------------------------------------------------------------
 

@@ -286,16 +286,16 @@ class StreamingPercentiles:
 #: Population arrays shipped to workers, in manifest order.
 _POPULATION_ARRAYS = (
     "class_index", "region_index", "ring_positions",
-    "ring_sorted_positions", "ring_sorted_region", "ring_sorted_class",
-    "ring_sorted_region_class",
+    "ring_sorted_positions", "ring_sorted_region_class",
 )
 
 
 class SharedPopulationPack:
     """One population's arrays in POSIX shared memory, attachable by name.
 
-    ``create`` packs the parent's arrays (including the sorted-ring cache,
-    so workers skip the O(n log n) sort); ``attach`` reconstructs a
+    ``create`` packs the parent's arrays (including the
+    :meth:`ClientPopulation.ring_sorted` cache, so workers skip the
+    O(n log n) sort); ``attach`` reconstructs a
     zero-copy :class:`ClientPopulation` view in a worker.  The parent owns
     the segments: it must ``close()`` and ``unlink()`` them in a
     ``finally`` — success, failure, and KeyboardInterrupt alike — which the
@@ -309,15 +309,13 @@ class SharedPopulationPack:
 
     @classmethod
     def create(cls, population: ClientPopulation) -> "SharedPopulationPack":
-        sorted_cache = population.ring_sorted()
+        positions_sorted, region_class_sorted = population.ring_sorted()
         arrays = {
             "class_index": population.class_index,
             "region_index": population.region_index,
             "ring_positions": population.ring_positions,
-            "ring_sorted_positions": sorted_cache[0],
-            "ring_sorted_region": sorted_cache[1],
-            "ring_sorted_class": sorted_cache[2],
-            "ring_sorted_region_class": sorted_cache[3],
+            "ring_sorted_positions": positions_sorted,
+            "ring_sorted_region_class": region_class_sorted,
         }
         segments: Dict[str, shared_memory.SharedMemory] = {}
         specs: Dict[str, Dict[str, object]] = {}
@@ -389,8 +387,6 @@ class SharedPopulationPack:
             region_index=views["region_index"],
             ring_positions=views["ring_positions"],
             ring_sorted=(views["ring_sorted_positions"],
-                         views["ring_sorted_region"],
-                         views["ring_sorted_class"],
                          views["ring_sorted_region_class"]),
         )
         return population, segments

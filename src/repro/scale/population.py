@@ -205,7 +205,7 @@ class ClientPopulation:
             0x1000003
         )
         self.ring_positions = _splitmix64(identities)
-        self._ring_sorted: Optional[Tuple[np.ndarray, ...]] = None
+        self._ring_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_arrays(
@@ -217,8 +217,7 @@ class ClientPopulation:
         class_index: np.ndarray,
         region_index: np.ndarray,
         ring_positions: np.ndarray,
-        ring_sorted: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray]] = None,
+        ring_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "ClientPopulation":
         """A population wrapping already-materialized arrays, no RNG draw.
 
@@ -277,30 +276,25 @@ class ClientPopulation:
         counts = np.bincount(fused, minlength=self.regions * self.n_classes * n_sites)
         return counts.reshape(self.regions, self.n_classes, n_sites)
 
-    def ring_sorted(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def ring_sorted(self) -> Tuple[np.ndarray, np.ndarray]:
         """The population reordered by ring position, cached after first use.
 
-        Returns ``(positions, region_index, class_index, region_class)``, all
-        in ascending ring-position order; ``region_class`` is the fused
-        ``region * n_classes + class`` index used for group counting.  With
-        clients sorted this way, a consistent-hash assignment is a *segment
-        structure* — ``searchsorted`` of the ring's points into the client
-        positions — so fleet membership changes cost O(ring points + moved
-        clients) instead of a full O(n_clients) pass
-        (:meth:`repro.scale.fleet.NeutralizerFleet.assignment_segments`).
-        The one O(n log n) sort is paid once and shared by every scenario,
-        timeline, and Monte-Carlo replica built on this population.
+        Returns ``(positions, region_class)`` in ascending ring-position
+        order; ``region_class`` is the fused ``region * n_classes + class``
+        index used for group counting.  With clients sorted this way, the
+        clients of each arc of the fleet's hash ring are one contiguous
+        slice, so :meth:`repro.scale.scenario.ProblemTemplate.build` counts
+        them per arc with one ``searchsorted`` of the ring's points.  The
+        one O(n log n) sort is paid once and shared by every scenario,
+        timeline, and Monte-Carlo replica built on this population.  The
+        sort need not be stable: clients at equal positions fall in the same
+        arc, so their relative order never reaches a count.
         """
         if self._ring_sorted is None:
-            order = np.argsort(self.ring_positions, kind="stable")
-            region_sorted = self.region_index[order].astype(np.int64)
-            class_sorted = self.class_index[order].astype(np.int64)
-            self._ring_sorted = (
-                self.ring_positions[order],
-                region_sorted,
-                class_sorted,
-                region_sorted * self.n_classes + class_sorted,
-            )
+            order = np.argsort(self.ring_positions)
+            region_class = (self.region_index.astype(np.int64) * self.n_classes
+                            + self.class_index)
+            self._ring_sorted = (self.ring_positions[order], region_class[order])
         return self._ring_sorted
 
     def demand_pps_per_client(self) -> np.ndarray:

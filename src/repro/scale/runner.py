@@ -1043,10 +1043,10 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         """One fleet + scenario shared by every replica of this campaign.
 
         Replicas only ever mutate the fleet through timeline runs, which
-        restore its pre-run state, so the fleet's hashed ring points and the
-        scenario's O(n_clients) problem template are paid for once; each
-        subsequent replica refreshes the stale template incrementally over
-        zero moved clients.
+        restore its pre-run state, so the fleet's arc table and the
+        scenario's O(n_clients) per-arc client counts are paid for once;
+        each subsequent replica regroups those counts under an unchanged
+        ring, an O(arcs) rebuild that remaps no client.
         """
         if getattr(self, "_scenario_cache", None) is None or \
                 self._scenario_cache.population is not population:
@@ -1105,7 +1105,8 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         self._scenario_cache = None
 
     def _prepare(self) -> None:
-        # Warm the shared ring sort before timing replicas.
+        # Sort the shared population by ring position (the input of the
+        # per-arc client counts) before timing replicas.
         self._shared_population().ring_sorted()
 
     def _begin_campaign(self) -> None:
@@ -1970,7 +1971,8 @@ class AdversaryCampaignRunner(_UnitCampaignMixin):
                 self._scenario_cache.population is not population:
             # Share one fleet + template across every grid point: timelines
             # restore fleet state, and the fleet shape does not depend on
-            # the game, so the O(n_clients) build is paid once per campaign.
+            # the game, so the O(n_clients) per-arc count is paid once per
+            # campaign (on the ring-sorted population warmed above).
             fleet = elastic_fleet(
                 population, self.n_sites, nominal_sites=self.n_sites,
                 at_utilization=1.0 / self.headroom, cost_model=self.cost_model,

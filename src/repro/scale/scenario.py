@@ -21,12 +21,13 @@ uplink utilization, and bottleneck attribution — the quantities the campaign
 runner sweeps and tabulates.
 
 Time-stepped callers solve the *same* structure many times with perturbed
-demands and capacities, so problem construction is split in two: the
-O(n_clients) part (site assignment, group counting, the usage matrix) lives
-in a :class:`ProblemTemplate` that stays valid until the fleet's hash ring
-changes, and the per-epoch part (:meth:`ProblemTemplate.instantiate`) only
-scales small per-flow/per-site vectors — a few hundred elements regardless
-of population size.
+demands and capacities, so problem construction is split in three: the one
+O(n_clients) pass counts clients per arc of the fleet's hash ring (per
+region and class) and is shared by every later template; a
+:class:`ProblemTemplate` groups those arc rows by owning site and lays out
+the usage matrix, O(arcs) whenever the ring changes; and the per-epoch part
+(:meth:`ProblemTemplate.instantiate`) only scales small per-flow/per-site
+vectors — a few hundred elements regardless of population size.
 """
 
 from __future__ import annotations
@@ -92,29 +93,27 @@ class EpochProblem:
 class ProblemTemplate:
     """The population×fleet flow structure, frozen for one hash-ring state.
 
-    Everything that costs O(n_clients) — client-to-site assignment, group
-    counting, the usage matrix — is computed once here.
-    :meth:`instantiate` then produces a :class:`CapacityProblem` for any
-    per-flow demand scaling (load curves, discrimination throttles) and
-    per-site capacity scaling (degradation, failure) by touching only
-    per-flow and per-site vectors.  The template is valid until the fleet's
-    ring changes (``fleet.generation`` moves), after which
-    :meth:`rebuilt` derives a successor template in O(moved clients): the
-    assignment is held as the *segment structure* of the ring over the
-    population's sorted positions (:meth:`ClientPopulation.ring_sorted` /
-    :meth:`NeutralizerFleet.assignment_segments`), so the diff of two ring
-    states is a walk over merged segment boundaries and the group counts
-    move only for the clients whose arc changed owner.
+    The one O(n_clients) pass, in :meth:`build`, counts the clients of
+    every arc of the fleet's arc table (:attr:`NeutralizerFleet.points`)
+    per region and class; the group counts are those rows summed by each
+    arc's owning site.  :meth:`instantiate` then produces a
+    :class:`CapacityProblem` for any per-flow demand scaling (load curves,
+    discrimination throttles) and per-site capacity scaling (degradation,
+    failure) by touching only per-flow and per-site vectors.  The template
+    is valid until the fleet's ring changes (``fleet.generation`` moves),
+    after which :meth:`rebuilt` regroups the same arc rows under the new
+    owners — O(arcs), independent of the population size.
     """
 
     population: ClientPopulation
     fleet: NeutralizerFleet
     fleet_generation: int
     region_uplink_bps: float
-    #: Segment assignment over the ring-sorted population: sorted clients
-    #: ``cuts[i]:cuts[i+1]`` belong to site index ``seg_owners[i]``.
-    cuts: np.ndarray
-    seg_owners: np.ndarray
+    #: Clients per arc of the fleet's arc table: one row per arc, one column
+    #: per ``region * n_classes + class``.  Shared by every successor.
+    arc_counts: np.ndarray
+    #: The owning site index of every arc under this ring state.
+    arc_owner: np.ndarray
     #: Exact client counts per (region, class, site) under this ring state.
     counts3d: np.ndarray
     #: Clients per site (``counts3d`` summed over regions and classes).
@@ -164,7 +163,7 @@ class ProblemTemplate:
         docs/parallel.md).  Lazy labels are not counted.
         """
         arrays = (
-            self.cuts, self.seg_owners, self.counts3d, self.clients_per_site,
+            self.arc_counts, self.arc_owner, self.counts3d, self.clients_per_site,
             self.region_of, self.class_of, self.site_of, self.group_clients,
             self.base_demands, self.bits_per_packet,
             self.base_setups_per_flow, self.usage,
@@ -184,64 +183,46 @@ class ProblemTemplate:
     @classmethod
     def build(cls, population: ClientPopulation, fleet: NeutralizerFleet,
               *, region_uplink_bps: float) -> "ProblemTemplate":
-        """The one O(n_clients) pass: assign, count, and lay out the matrix."""
-        positions, _, _, region_class = population.ring_sorted()
-        cuts, seg_owners = fleet.assignment_segments(positions)
-        site_sorted = np.repeat(seg_owners, np.diff(cuts))
-        fused = region_class * fleet.n_sites + site_sorted
-        counts3d = np.bincount(
-            fused, minlength=population.regions * population.n_classes * fleet.n_sites
-        ).reshape(population.regions, population.n_classes, fleet.n_sites)
+        """The one O(n_clients) pass: count clients per arc, then lay out."""
+        positions, region_class = population.ring_sorted()
+        bins = population.regions * population.n_classes
+        n_arcs = fleet.points.size
+        arcs = fleet.arcs_of_sorted(positions)
+        arc_counts = np.bincount(
+            arcs * bins + region_class, minlength=n_arcs * bins
+        ).reshape(n_arcs, bins)
         return cls._assemble(
             population, fleet, region_uplink_bps=region_uplink_bps,
-            cuts=cuts, seg_owners=seg_owners, counts3d=counts3d,
+            arc_counts=arc_counts, arc_owner=fleet.ring_state(),
             remapped_from_parent=0,
         )
 
     def rebuilt(self) -> "ProblemTemplate":
-        """A successor template for the fleet's *current* ring, incrementally.
+        """A successor template for the fleet's *current* ring.
 
-        Walks the merged segment boundaries of the old and new assignments;
-        wherever the owning site differs, the affected slice of the sorted
-        population is histogrammed once (O(slice)) and its counts move from
-        the old site to the new one.  An unchanged arc costs nothing, so a
-        single site failing out of a large fleet reassigns only that site's
-        clients — consistent hashing's contract, now also the rebuild cost.
+        Reuses this template's arc counts: the clients that changed site are
+        the rows of the arcs whose owner changed, so a single site failing
+        out of a large fleet reassigns exactly that site's clients —
+        consistent hashing's contract — at a cost of O(arcs).
         """
-        population = self.population
-        fleet = self.fleet
-        positions, _, _, region_class = population.ring_sorted()
-        new_cuts, new_owners = fleet.assignment_segments(positions)
-
-        merged = np.unique(np.concatenate([self.cuts, new_cuts]))
-        starts, ends = merged[:-1], merged[1:]
-        old_of = self.seg_owners[np.searchsorted(self.cuts, starts, side="right") - 1]
-        new_of = new_owners[np.searchsorted(new_cuts, starts, side="right") - 1]
-        changed = np.flatnonzero((old_of != new_of) & (ends > starts))
-
-        counts3d = self.counts3d.copy()
-        bins = population.regions * population.n_classes
-        moved = 0
-        for k in changed:
-            lo, hi = int(starts[k]), int(ends[k])
-            hist = np.bincount(region_class[lo:hi], minlength=bins).reshape(
-                population.regions, population.n_classes
-            )
-            counts3d[:, :, old_of[k]] -= hist
-            counts3d[:, :, new_of[k]] += hist
-            moved += hi - lo
+        arc_owner = self.fleet.ring_state()
+        changed = self.arc_owner != arc_owner
         return type(self)._assemble(
-            population, fleet, region_uplink_bps=self.region_uplink_bps,
-            cuts=new_cuts, seg_owners=new_owners, counts3d=counts3d,
-            remapped_from_parent=moved,
+            self.population, self.fleet, region_uplink_bps=self.region_uplink_bps,
+            arc_counts=self.arc_counts, arc_owner=arc_owner,
+            remapped_from_parent=int(self.arc_counts[changed].sum()),
         )
 
     @classmethod
     def _assemble(cls, population: ClientPopulation, fleet: NeutralizerFleet,
-                  *, region_uplink_bps: float, cuts: np.ndarray,
-                  seg_owners: np.ndarray, counts3d: np.ndarray,
-                  remapped_from_parent: int) -> "ProblemTemplate":
-        """Lay out flows, usage matrix, and labels from the group counts."""
+                  *, region_uplink_bps: float, arc_counts: np.ndarray,
+                  arc_owner: np.ndarray, remapped_from_parent: int) -> "ProblemTemplate":
+        """Group the arc counts by owner, then lay out flows and the matrix."""
+        site_counts = np.zeros((fleet.n_sites, arc_counts.shape[1]), dtype=np.int64)
+        np.add.at(site_counts, arc_owner, arc_counts)
+        counts3d = np.ascontiguousarray(site_counts.T).reshape(
+            population.regions, population.n_classes, fleet.n_sites
+        )
         counts = counts3d.astype(np.float64)
         pps_per_client = population.demand_pps_per_client()
         bits_per_packet = population.packet_bits()
@@ -278,8 +259,8 @@ class ProblemTemplate:
             fleet=fleet,
             fleet_generation=fleet.generation,
             region_uplink_bps=region_uplink_bps,
-            cuts=cuts,
-            seg_owners=seg_owners,
+            arc_counts=arc_counts,
+            arc_owner=arc_owner,
             counts3d=counts3d,
             clients_per_site=counts3d.sum(axis=(0, 1)).astype(np.int64),
             remapped_from_parent=remapped_from_parent,
@@ -431,9 +412,10 @@ class ScaleScenario:
     def build_template(self) -> ProblemTemplate:
         """The cached flow/resource structure, rebuilt when the ring changes.
 
-        The first build pays one O(n_clients) counting pass; every later ring
-        change is absorbed by :meth:`ProblemTemplate.rebuilt`, which touches
-        only the clients whose arc of the hash ring changed owner.
+        The first build pays one O(n_clients) pass counting clients per arc
+        of the hash ring; every later ring change is absorbed by
+        :meth:`ProblemTemplate.rebuilt`, which regroups those arc counts
+        under the new owners in O(arcs).
         """
         if self._template is None:
             self._template = ProblemTemplate.build(

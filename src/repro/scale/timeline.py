@@ -26,8 +26,8 @@ the max-min solver through a sequence of epochs:
   neutralizer adoption reacts to the experienced harm, feeding per-flow
   served-demand caps and adopter re-key load back into the solve;
 * each epoch is solved *warm*: the flow structure is a cached
-  :class:`repro.scale.scenario.ProblemTemplate` (rebuilt incrementally, in
-  O(moved clients), only when the ring actually changes) and the previous
+  :class:`repro.scale.scenario.ProblemTemplate` (rebuilt from its per-arc
+  client counts, in O(arcs), only when the ring actually changes) and the previous
   epoch's allocation is offered to
   :func:`repro.scale.solver.max_min_allocation` as a verified warm start,
   so an event-free epoch costs a few vectorized passes over per-flow
@@ -1107,7 +1107,7 @@ class FluidTimeline:
 
                 ring_moved = 0.0
                 if ring_before:
-                    ring_moved = NeutralizerFleet.ring_moved_fraction(
+                    ring_moved = fleet.ring_moved_fraction(
                         ring_before[0], fleet.ring_state()
                     )
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import TopologyError, WorkloadError
 from repro.scale import (
@@ -154,27 +156,72 @@ class TestCostModel:
         assert model.data_packet_cost_seconds > 0
 
 
-class TestSegmentAssignment:
-    """The sorted-segment view must agree exactly with per-client lookup."""
+# Hypothesis strategies for the arc-table oracles: small random fleets with
+# some sites out of service (down to one serving site), and client positions
+# that include the ring's own points, their neighbours, and both ends of the
+# 2^64 space (0 and past the last point).
+_SPACE_MAX = (1 << 64) - 1
 
-    def test_segments_match_assign_sites(self):
-        fleet = NeutralizerFleet.build(7, replicas=32)
-        population = ClientPopulation(30_000, seed=17)
-        positions, _, _, _ = population.ring_sorted()
-        cuts, owners = fleet.assignment_segments(positions)
-        via_segments = np.repeat(owners, np.diff(cuts))
-        order = np.argsort(population.ring_positions, kind="stable")
-        via_lookup = fleet.assign_sites(population.ring_positions)[order]
-        assert np.array_equal(via_segments, via_lookup)
 
-    def test_segments_cover_every_client_once(self):
-        fleet = NeutralizerFleet.build(5)
-        population = ClientPopulation(8_000, seed=21)
-        positions, _, _, _ = population.ring_sorted()
-        cuts, owners = fleet.assignment_segments(positions)
-        assert cuts[0] == 0 and cuts[-1] == population.n_clients
-        assert (np.diff(cuts) >= 0).all()
-        assert owners.size == cuts.size - 1
+@st.composite
+def _fleets(draw, min_sites=1):
+    names = draw(st.lists(st.text("abcxyz0123456789#", min_size=1, max_size=5),
+                          min_size=min_sites, max_size=6, unique=True))
+    fleet = NeutralizerFleet([FleetSite(name) for name in names],
+                             replicas=draw(st.integers(1, 12)))
+    serving = draw(st.lists(st.booleans(), min_size=len(names),
+                            max_size=len(names)).filter(any))
+    for name, keep in zip(names, serving):
+        if not keep:
+            getattr(fleet, draw(st.sampled_from(["fail_site", "drain_site"])))(name)
+    return fleet
+
+
+@st.composite
+def _positions(draw, fleet, min_size=1):
+    points = [int(point) for point in fleet.points]
+    crafted = st.sampled_from(points).flatmap(
+        lambda p: st.sampled_from([p, max(p - 1, 0), min(p + 1, _SPACE_MAX)]))
+    ends = st.sampled_from([0, 1, max(points) + 1 if max(points) < _SPACE_MAX
+                            else _SPACE_MAX, _SPACE_MAX])
+    values = draw(st.lists(st.one_of(st.integers(0, _SPACE_MAX), crafted, ends),
+                           min_size=min_size, max_size=60))
+    return np.array(values, dtype=np.uint64)
+
+
+_ORACLE_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestArcTable:
+    """The fleet's arc table against the scalar ring, exactly."""
+
+    @_ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_assign_sites_matches_scalar_ring(self, data):
+        fleet = data.draw(_fleets())
+        ring = fleet.ring
+        keys = data.draw(st.lists(st.binary(max_size=8), min_size=1, max_size=20))
+        hashed = np.array([ring.key_position(key) for key in keys], dtype=np.uint64)
+        assert [fleet.sites[i].name for i in fleet.assign_sites(hashed)] == [
+            ring.site_for(key) for key in keys]
+        positions = data.draw(_positions(fleet))
+        snapshot = ring.snapshot()
+        assert [fleet.sites[i].name for i in fleet.assign_sites(positions)] == [
+            snapshot.owner_at(int(position)) for position in positions]
+        ascending = np.sort(positions)
+        assert np.array_equal(fleet.ring_state()[fleet.arcs_of_sorted(ascending)],
+                              fleet.assign_sites(ascending))
+
+    def test_points_are_sorted_once_for_every_site(self):
+        fleet = NeutralizerFleet.build(5, replicas=8)
+        points = fleet.points
+        fleet.fail_site("site01")
+        fleet.drain_site("site03")
+        assert fleet.points is points  # membership changes never re-sort
+        assert (np.diff(points.astype(object)) >= 0).all()
+        assert np.bincount(fleet.point_site, minlength=5).tolist() == [8] * 5
+        assert set(fleet.ring_state()) == {0, 2, 4}
 
     def test_ring_sorted_is_cached_and_consistent(self):
         population = ClientPopulation(1_000, seed=5)
@@ -182,6 +229,10 @@ class TestSegmentAssignment:
         second = population.ring_sorted()
         assert first[0] is second[0]  # same arrays, not recomputed
         assert (np.diff(first[0].astype(object)) >= 0).all()
+        order = np.argsort(population.ring_positions, kind="stable")
+        region_class = (population.region_index * population.n_classes
+                        + population.class_index)
+        assert np.array_equal(first[1], region_class[order])
 
 
 class TestIncrementalTemplate:
@@ -189,6 +240,14 @@ class TestIncrementalTemplate:
 
     @staticmethod
     def assert_equivalent(incremental, fresh):
+        # Both agree with the brute-force per-client count...
+        population, fleet = fresh.population, fresh.fleet
+        brute = population.group_counts(
+            fleet.assign_sites(population.ring_positions), fleet.n_sites)
+        assert np.array_equal(fresh.counts3d, brute)
+        # ...and with each other, array for array.
+        assert np.array_equal(incremental.arc_counts, fresh.arc_counts)
+        assert np.array_equal(incremental.arc_owner, fresh.arc_owner)
         assert np.array_equal(incremental.counts3d, fresh.counts3d)
         assert np.array_equal(incremental.clients_per_site, fresh.clients_per_site)
         assert np.array_equal(incremental.group_clients, fresh.group_clients)
@@ -228,7 +287,7 @@ class TestIncrementalTemplate:
         expected = sum(
             a.nbytes
             for a in (
-                template.cuts, template.seg_owners, template.counts3d,
+                template.arc_counts, template.arc_owner, template.counts3d,
                 template.clients_per_site, template.region_of,
                 template.class_of, template.site_of, template.group_clients,
                 template.base_demands, template.bits_per_packet,
@@ -267,6 +326,46 @@ class TestIncrementalTemplate:
             self.assert_equivalent(incremental, fresh)
         assert population.n_clients == incremental.counts3d.sum()
 
+    @_ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_rebuilt_after_random_walk_matches_fresh_build(self, data):
+        from repro.scale.scenario import ProblemTemplate, ScaleScenario
+
+        fleet = data.draw(_fleets(min_sites=2))
+        positions = data.draw(_positions(fleet, min_size=20))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        regions = data.draw(st.integers(1, 3))
+        population = ClientPopulation.from_arrays(
+            mix=None, regions=regions, seed=0,
+            class_index=rng.integers(0, 3, positions.size).astype(np.int32),
+            region_index=rng.integers(0, regions, positions.size).astype(np.int32),
+            ring_positions=positions,
+        )
+        scenario = ScaleScenario(population, fleet)
+        template = scenario.build_template()
+        walk = data.draw(st.lists(
+            st.tuples(st.sampled_from(["fail_site", "restore_site",
+                                       "drain_site", "activate_site"]),
+                      st.sampled_from([site.name for site in fleet.sites])),
+            max_size=12))
+        for method, name in walk:
+            before = fleet.assign_sites(positions)
+            try:
+                getattr(fleet, method)(name)
+            except TopologyError:  # the last serving site stays in service
+                continue
+            successor = scenario.build_template()
+            fresh = ProblemTemplate.build(
+                population, fleet, region_uplink_bps=scenario.region_uplink_bps
+            )
+            self.assert_equivalent(successor, fresh)
+            moved = int((fleet.assign_sites(positions) != before).sum())
+            if successor is template:
+                assert moved == 0
+            else:
+                assert successor.remapped_from_parent == moved
+            template = successor
+
 
 class TestDrainLifecycle:
     def test_drained_site_leaves_the_ring_and_capacity(self):
@@ -287,7 +386,7 @@ class TestDrainLifecycle:
         state = fleet.ring_state()
         fleet.drain_site("site01")  # already out of the ring: no rebuild
         assert fleet.generation == generation
-        assert NeutralizerFleet.ring_moved_fraction(state, fleet.ring_state()) == 0.0
+        assert fleet.ring_moved_fraction(state, fleet.ring_state()) == 0.0
         # Recovery of a drained site must NOT rejoin the ring...
         fleet.restore_site("site01")
         assert fleet.generation == generation
@@ -318,7 +417,17 @@ class TestDrainLifecycle:
         before_state = fleet.ring_state()
         before_snapshot = fleet.ring_snapshot()
         fleet.fail_site("site04")
-        fast = NeutralizerFleet.ring_moved_fraction(before_state, fleet.ring_state())
+        fast = fleet.ring_moved_fraction(before_state, fleet.ring_state())
         slow = before_snapshot.diff(fleet.ring_snapshot()).moved_fraction
-        assert fast == pytest.approx(slow, abs=1e-12)
+        assert fast == slow
         assert fast > 0
+
+    def test_moved_fraction_is_exactly_one_when_every_arc_moves(self):
+        # Every arc's length summed is 2^64, which a uint64 sum wraps to 0.
+        fleet = NeutralizerFleet([FleetSite("A"), FleetSite("B", active=False)])
+        before_state = fleet.ring_state()
+        before_snapshot = fleet.ring_snapshot()
+        fleet.activate_site("B")
+        fleet.drain_site("A")
+        assert fleet.ring_moved_fraction(before_state, fleet.ring_state()) == 1.0
+        assert before_snapshot.diff(fleet.ring_snapshot()).moved_fraction == 1.0
