@@ -76,14 +76,14 @@ clients as aggregate fluid demand instead:
     simulation, it never participates, so enabling it cannot change a
     single allocation.
 ``runner``
-    Experiment-campaign runners in the ``ExperimentRunnerProtocol`` style:
-    the E12 population sweep, the E13 timeline-catalogue campaign, the
-    E14 Monte-Carlo stochastic-availability campaign with its
-    churn-vs-SLO frontier, the E15 queueing-latency campaign (elastic
-    mix, latency-aware autoscaler) with its latency-vs-cost frontier, and
-    the E16 adversary arms-race campaign sweeping ISP aggressiveness ×
-    adoption sensitivity into the self-defeating-discrimination frontier,
-    all rendering :class:`repro.analysis.report.ExperimentReport` tables.
+    Experiment-campaign runners: the E12 population sweep, the E13
+    timeline-catalogue campaign, the E14 Monte-Carlo stochastic-availability
+    campaign with its churn-vs-SLO frontier, the E15 queueing-latency
+    campaign (elastic mix, latency-aware autoscaler) with its
+    latency-vs-cost frontier, and the E16 adversary arms-race campaign
+    sweeping ISP aggressiveness × adoption sensitivity into the
+    self-defeating-discrimination frontier, all rendering
+    :class:`repro.analysis.report.ExperimentReport` tables.
 ``validate``
     Cross-validation of the fluid model against the packet-level simulator
     on a small shared scenario (goodput within 10 %, latency proxy within
@@ -173,11 +173,9 @@ from .stochastic import (
 from .parallel import (
     CampaignRunnerProtocol,
     CampaignUnit,
-    P2Quantile,
     ProcessPoolCampaignExecutor,
     RunTable,
     SharedPopulationPack,
-    StreamingPercentiles,
     canonical_result_bytes,
 )
 from .population import (
@@ -204,7 +202,6 @@ from .runner import (
     LatencyCampaignRunner,
     LatencyFrontierPoint,
     LatencyFrontierResult,
-    AGGREGATION_MODES,
     MetricDistribution,
     ScaleExperimentState,
     replica_seed_draws,
@@ -269,7 +266,6 @@ from .validate import (
 )
 
 __all__ = [
-    "AGGREGATION_MODES",
     "AdoptionModel",
     "AdversaryCampaignResult",
     "AdversaryCampaignRunner",
@@ -341,7 +337,6 @@ __all__ = [
     "NULL",
     "NeutralizerFleet",
     "NullTelemetry",
-    "P2Quantile",
     "PoissonSiteFailures",
     "PopulationMix",
     "PopulationSpec",
@@ -367,7 +362,6 @@ __all__ = [
     "StochasticCampaignResult",
     "StochasticCampaignRunner",
     "StochasticReplicaRecord",
-    "StreamingPercentiles",
     "Subscription",
     "SweepRecord",
     "TargetLatencyPolicy",

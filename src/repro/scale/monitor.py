@@ -97,14 +97,11 @@ class _MonitorHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _query_int(self, params: Dict[str, List[str]], name: str,
-                   default: int) -> int:
+                   default: int, minimum: int) -> int:
         values = params.get(name)
         if not values:
             return default
-        try:
-            return int(values[0])
-        except ValueError:
-            raise _BadRequest(f"{name} must be an integer, got {values[0]!r}")
+        return _bounded_int(name, values[0], minimum)
 
     # -- routing -------------------------------------------------------
 
@@ -148,8 +145,9 @@ class _MonitorHandler(BaseHTTPRequestHandler):
                    text.encode("utf-8"))
 
     def _serve_events(self, params: Dict[str, List[str]]) -> None:
-        since_seq = self._query_int(params, "since_seq", -1)
-        limit = self._query_int(params, "limit", self.monitor.page_limit)
+        since_seq = self._query_int(params, "since_seq", -1, minimum=-1)
+        limit = self._query_int(params, "limit", self.monitor.page_limit,
+                                minimum=0)
         lines, next_seq, remaining = self.monitor.events_page(since_seq, limit)
         body = "".join(line + "\n" for line in lines).encode("utf-8")
         self._send(200, "application/x-ndjson", body, {
@@ -158,7 +156,7 @@ class _MonitorHandler(BaseHTTPRequestHandler):
         })
 
     def _serve_verdicts(self, params: Dict[str, List[str]]) -> None:
-        since_seq = self._query_int(params, "since_seq", -1)
+        since_seq = self._query_int(params, "since_seq", -1, minimum=-1)
         lines = self.monitor.verdict_lines(since_seq)
         body = "".join(line + "\n" for line in lines).encode("utf-8")
         self._send(200, "application/x-ndjson", body)
@@ -171,17 +169,13 @@ class _MonitorHandler(BaseHTTPRequestHandler):
         monitor = self.monitor
         # Last-Event-ID (the SSE reconnect contract) wins over the
         # since_seq query parameter; both mean "resume strictly after".
-        cursor = self._query_int(params, "since_seq", -1)
+        cursor = self._query_int(params, "since_seq", -1, minimum=-1)
         header_id = self.headers.get("Last-Event-ID")
         if header_id is not None:
-            try:
-                cursor = int(header_id)
-            except ValueError:
-                raise _BadRequest(f"Last-Event-ID must be an integer, "
-                                  f"got {header_id!r}")
+            cursor = _bounded_int("Last-Event-ID", header_id, -1)
         #: Close the stream after this many canonical events (0 = never);
         #: lets curl/CI capture a prefix without killing the connection.
-        limit = self._query_int(params, "limit", 0)
+        limit = self._query_int(params, "limit", 0, minimum=0)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
@@ -218,6 +212,17 @@ class _MonitorHandler(BaseHTTPRequestHandler):
 
 class _BadRequest(Exception):
     pass
+
+
+def _bounded_int(name: str, text: str, minimum: int) -> int:
+    """``text`` as an integer no smaller than ``minimum``, else a 400."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise _BadRequest(f"{name} must be an integer, got {text!r}")
+    if value < minimum:
+        raise _BadRequest(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 class MonitorServer:
@@ -513,9 +518,9 @@ class MonitorServer:
         Returns ``(lines, next_seq, remaining)`` — the same strictly-after
         cursor contract as :meth:`EventLog.tail`.
         """
-        start = max(0, since_seq + 1)
+        since_seq = max(-1, since_seq)
         with self._cond:
-            page = self._canonical[start:start + max(0, limit)]
+            page = self._canonical[since_seq + 1:since_seq + 1 + max(0, limit)]
             total = len(self._canonical)
         lines = [line for _, _, line in page]
         next_seq = page[-1][0] if page else since_seq

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +47,7 @@ from .autoscale import (
 from .costmodel import CryptoCostModel, ProvisioningCostModel
 from .fleet import NeutralizerFleet
 from .latency import LatencyModel
-from .parallel import (
-    CampaignUnit,
-    ProcessPoolCampaignExecutor,
-    StreamingPercentiles,
-)
+from .parallel import CampaignUnit, ProcessPoolCampaignExecutor
 from .population import ClientPopulation, PopulationMix, default_mix, elastic_mix
 from .scenario import FluidResult, ScaleScenario
 from .stochastic import (
@@ -155,22 +151,6 @@ def replica_seed_draws(seed: int, replicas: int,
 
 #: The default campaign sweep: three decades up to a million clients.
 DEFAULT_CLIENT_COUNTS: Tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
-
-
-class ExperimentRunnerProtocol(Protocol):
-    """The runner contract shared with the campaign harness pattern."""
-
-    def run(self) -> "FleetScaleResult":
-        """Run the campaign to completion and return its result."""
-        ...
-
-    def get_current_state(self) -> "ScaleExperimentState":
-        """Snapshot campaign progress."""
-        ...
-
-
-#: Percentile-aggregation strategies for the Monte-Carlo runners.
-AGGREGATION_MODES = ("exact", "p2")
 
 
 class _UnitCampaignMixin:
@@ -825,28 +805,6 @@ class MetricDistribution:
                    p95=float(p95), p99=float(p99), mean=float(values.mean()),
                    worst=float(worst), samples=int(values.size))
 
-    @classmethod
-    def from_stream(cls, metric: str, stream: StreamingPercentiles,
-                    *, tail: str = "high") -> "MetricDistribution":
-        """Summary from a constant-memory P² stream (``aggregation='p2'``).
-
-        Mean, worst and sample count are exact; the percentile rows are P²
-        estimates with the tolerance documented in docs/parallel.md.
-        """
-        if tail not in ("low", "high"):
-            raise WorkloadError("distribution tail must be 'low' or 'high'")
-        if stream.count == 0:
-            raise WorkloadError(f"metric {metric!r} has no samples")
-        if tail == "low":
-            p95, p99, worst = (stream.quantile(0.05), stream.quantile(0.01),
-                               stream.minimum)
-        else:
-            p95, p99, worst = (stream.quantile(0.95), stream.quantile(0.99),
-                               stream.maximum)
-        return cls(metric=metric, tail=tail, p50=float(stream.quantile(0.5)),
-                   p95=float(p95), p99=float(p99), mean=float(stream.mean),
-                   worst=float(worst), samples=int(stream.count))
-
 
 @dataclass(frozen=True)
 class StochasticReplicaRecord:
@@ -955,18 +913,12 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         latency_violation_budget: float = 0.05,
         adversary: Optional[AdversaryGame] = None,
         variance_reduction: str = "iid",
-        aggregation: str = "exact",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if clients <= 0 or epochs <= 0 or replicas <= 0:
             raise WorkloadError("campaign needs positive clients, epochs and replicas")
         if not 0 < slo <= 1:
             raise WorkloadError("SLO threshold must be in (0, 1]")
-        if aggregation not in AGGREGATION_MODES:
-            raise WorkloadError(
-                f"unknown aggregation mode {aggregation!r}; "
-                f"pick one of {', '.join(AGGREGATION_MODES)}"
-            )
         if population is not None and population.n_clients != clients:
             raise WorkloadError("shared population does not match the client count")
         if latency_slo_seconds <= 0:
@@ -1005,7 +957,6 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         self.latency_violation_budget = latency_violation_budget
         self.adversary = adversary
         self.variance_reduction = variance_reduction
-        self.aggregation = aggregation
         self.run_id = f"stochastic-{seed:08x}-{self.clients}x{self.replicas}"
         self.experiment_name = "stochastic_availability"
         self.experiment_id = "E14"
@@ -1165,23 +1116,6 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
                                      delivered_fraction=result.delivered_fraction,
                                      latency_p95=latency_p95)
 
-    def _distribution(self, metric: str, samples, *,
-                      tail: str) -> MetricDistribution:
-        """One summary honouring the campaign's ``aggregation`` mode.
-
-        ``exact`` takes full-array numpy percentiles — bit-identical to the
-        historical serial aggregation.  ``p2`` folds the same samples, in
-        the same (unit) order, through constant-memory P² estimators.
-        """
-        if self.aggregation == "exact":
-            return MetricDistribution.from_samples(metric, samples, tail=tail)
-        stream = StreamingPercentiles()
-        stream.extend(np.asarray(
-            samples if isinstance(samples, np.ndarray) else list(samples),
-            dtype=np.float64,
-        ))
-        return MetricDistribution.from_stream(metric, stream, tail=tail)
-
     def merge_units(self, outcomes: Sequence[StochasticUnitOutcome], *,
                     started_at: float,
                     duration_seconds: float) -> StochasticCampaignResult:
@@ -1192,37 +1126,37 @@ class StochasticCampaignRunner(_UnitCampaignMixin):
         completed_at = started_at + duration_seconds
 
         distributions = {
-            "availability": self._distribution(
+            "availability": MetricDistribution.from_samples(
                 "availability", np.concatenate(pooled_delivered), tail="low"),
-            "replica availability": self._distribution(
+            "replica availability": MetricDistribution.from_samples(
                 "replica availability",
                 [record.mean_delivered for record in records], tail="low"),
-            "worst-epoch availability": self._distribution(
+            "worst-epoch availability": MetricDistribution.from_samples(
                 "worst-epoch availability",
                 [record.worst_delivered for record in records], tail="low"),
-            f"slo attainment (>= {self.slo:g})": self._distribution(
+            f"slo attainment (>= {self.slo:g})": MetricDistribution.from_samples(
                 f"slo attainment (>= {self.slo:g})",
                 [record.slo_attainment for record in records], tail="low"),
-            "remap churn (client-moves)": self._distribution(
+            "remap churn (client-moves)": MetricDistribution.from_samples(
                 "remap churn (client-moves)",
                 [float(record.clients_remapped) for record in records], tail="high"),
-            "provision cost (usd)": self._distribution(
+            "provision cost (usd)": MetricDistribution.from_samples(
                 "provision cost (usd)",
                 [record.provision_cost for record in records], tail="high"),
         }
         if self.latency_model is not None:
             # Latency percentiles are upper-tail risks: the P99 row is the
             # per-epoch P95 delay only 1% of epochs exceed.
-            distributions["latency p95 (ms)"] = self._distribution(
+            distributions["latency p95 (ms)"] = MetricDistribution.from_samples(
                 "latency p95 (ms)",
                 np.concatenate(pooled_latency_p95) * 1e3, tail="high")
-            distributions["replica worst p95 (ms)"] = self._distribution(
+            distributions["replica worst p95 (ms)"] = MetricDistribution.from_samples(
                 "replica worst p95 (ms)",
                 [record.worst_latency_p95_seconds * 1e3 for record in records],
                 tail="high")
             distributions[
                 f"latency slo attainment (<= {self.latency_violation_budget:g} viol)"
-            ] = self._distribution(
+            ] = MetricDistribution.from_samples(
                 f"latency slo attainment (<= {self.latency_violation_budget:g} viol)",
                 [record.latency_slo_attainment for record in records], tail="low")
         report = self._render_report(records, distributions)

@@ -16,9 +16,11 @@ on or off (asserted in ``tests/scale/test_telemetry.py``).  Three parts:
     Prometheus text exposition (:meth:`MetricsRegistry.prometheus_text`).
 
 :class:`Tracer`
-    Hierarchical spans (``campaign → replica → epoch → {template_instantiate,
-    solve, latency_proxy, autoscale_step, adversary_step, ring_remap}``)
-    with strict stack discipline: a child must close inside its parent, and
+    Hierarchical spans (``campaign → replica → epoch →`` the epoch
+    pipeline's stages in order: ``events, autoscale_step, ring_remap,
+    demand, adversary_step``, a reused ``solve`` or ``template_instantiate,
+    solve, latency_proxy``, then ``record``) with strict stack discipline:
+    a child must close inside its parent, and
     :meth:`Tracer.assert_well_formed` proves the tree has no orphans.
     Exported as a JSONL trace dump (:meth:`Tracer.write_jsonl`) and reduced
     to per-phase P50/P95 run tables by :func:`phase_breakdown` (what

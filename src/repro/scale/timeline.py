@@ -42,7 +42,7 @@ diff says changed owner).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +50,7 @@ import numpy as np
 from ..exceptions import WorkloadError
 from .adversary import (
     AdoptionModel,
+    AdversaryEpoch,
     AdversaryGame,
     AdversaryRun,
     experienced_latency,
@@ -58,19 +59,12 @@ from .adversary import (
 from .autoscale import AutoscalePolicy, AutoscaleRun, Autoscaler, EpochMetrics
 from .costmodel import ProvisioningCostModel
 from .fleet import NeutralizerFleet
-from .latency import LatencyModel, evaluate_latency
+from .latency import LatencyModel, LatencyResult, evaluate_latency
 from .population import ClientPopulation
-from .scenario import ProblemTemplate, ScaleScenario
+from .scenario import EpochProblem, FluidResult, ProblemTemplate, ScaleScenario
 from .solver import Allocation, solve_allocation
 from .telemetry import NULL, Telemetry
 
-
-def _optional_arrays_equal(left: Optional[np.ndarray],
-                           right: Optional[np.ndarray]) -> bool:
-    """Whether two maybe-absent per-flow/per-site vectors are identical."""
-    if left is None or right is None:
-        return left is None and right is None
-    return np.array_equal(left, right)
 
 DAY_SECONDS = 86_400.0
 
@@ -659,6 +653,119 @@ class TimelineResult:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _EpochDemand:
+    """What an epoch offers and what the fleet is asked to serve."""
+
+    offered_bps: float
+    demand_bps_by_class: Dict[str, float]
+    #: Per-flow served-demand multipliers after throttles and the adversary.
+    served_scale: np.ndarray
+    capacity_scale: Optional[np.ndarray]
+    extra_setups: Optional[np.ndarray]
+    adversary_epoch: Optional[AdversaryEpoch]
+
+
+@dataclass(frozen=True)
+class _SolvedEpoch:
+    """One epoch's full solved state, reused outright by an identical successor.
+
+    An epoch with the same template and scaling (steady load, no events) is
+    the *same problem*, so its steady-state cost is a few array comparisons.
+    """
+
+    template: ProblemTemplate
+    served_scale: np.ndarray
+    capacity_scale: Optional[np.ndarray]
+    extra_setups: Optional[np.ndarray]
+    epoch_problem: EpochProblem
+    allocation: Allocation
+    fluid: FluidResult
+    latency_result: Optional[LatencyResult]
+    #: Fleet-path (P50, P95, P99, SLO-violation fraction): the autoscaler's
+    #: control signal — capacity cannot buy back a policer queue.
+    latency: Tuple[float, float, float, float]
+    #: What the epoch record quotes: ``latency``, or with an adversary game
+    #: the client-experienced mixture including the policer delay of flagged
+    #: traffic, so the headline fields agree with the game's harm ledger.
+    experienced_latency: Tuple[float, float, float, float]
+    #: Per-class P95 delay split neutralized vs exposed (empty unless both
+    #: an adversary and a latency model run).
+    split: Tuple[Dict[str, float], Dict[str, float]]
+
+    def matches(self, template: ProblemTemplate, served_scale: np.ndarray,
+                capacity_scale: Optional[np.ndarray],
+                extra_setups: Optional[np.ndarray]) -> bool:
+        """Whether an epoch with these inputs is this same problem."""
+        return template is self.template and all(
+            (mine is None and theirs is None)
+            or (mine is not None and theirs is not None
+                and np.array_equal(mine, theirs))
+            for mine, theirs in ((self.served_scale, served_scale),
+                                 (self.capacity_scale, capacity_scale),
+                                 (self.extra_setups, extra_setups)))
+
+
+class _RunState:
+    """Everything one :meth:`FluidTimeline.run` mutates, created fresh per run."""
+
+    def __init__(self, timeline: "FluidTimeline") -> None:
+        self.fleet = timeline.fleet
+        self.throttles: List[DiscriminationToggle] = []
+        self.degradations: List[CapacityDegradation] = []
+        self.pending: List[FleetEvent] = list(timeline.events)
+        self.autoscale = (
+            AutoscaleRun(timeline.autoscaler, timeline.fleet,
+                         telemetry=timeline.telemetry)
+            if timeline.autoscaler is not None else None)
+        self.adversary = (
+            AdversaryRun(timeline.adversary, timeline.population,
+                         latency=timeline.latency,
+                         latency_slo_seconds=timeline.latency_slo_seconds,
+                         telemetry=timeline.telemetry)
+            if timeline.adversary is not None else None)
+        self.last_metrics: Optional[EpochMetrics] = None
+        self.template: Optional[ProblemTemplate] = None
+        self.base_demand_bps: Optional[float] = None
+        #: Demand-weighted per-region weights for the autoscaler's forecast.
+        self.region_demand: Optional[np.ndarray] = None
+        #: The last solved epoch (kept only when warm starts are on).
+        self.memo: Optional[_SolvedEpoch] = None
+        #: Committed-capacity sums, cached while fleet state is unchanged.
+        self._committed_key = None
+        self._committed: Dict[str, float] = {}
+        #: This epoch's pre-change ring, snapshotted lazily: only an epoch
+        #: whose events or autoscale actions touch the ring pays for it.
+        self.ring_before = None
+
+    def snapshot_ring(self) -> None:
+        if self.ring_before is None:
+            self.ring_before = self.fleet.ring_state()
+
+    def committed_capacity(self, warming: Tuple[str, ...]) -> Dict[str, float]:
+        """Capacity arguments of :meth:`ProvisioningCostModel.epoch_cost`.
+
+        Billing covers every *commissioned* site — active (even while
+        failed: a box being down does not stop its bill) plus warming ones.
+        """
+        key = (self.fleet.active_version, warming)
+        if key != self._committed_key:
+            committed = [site for site in self.fleet.sites if site.active]
+            committed += [self.fleet.site(name) for name in warming]
+            reserved = [site for site in committed if site.tier != "spot"]
+            spot = [site for site in committed if site.tier == "spot"]
+            self._committed = dict(
+                cores=sum(site.cores for site in reserved),
+                uplink_bps=sum(site.uplink_bps for site in reserved),
+                sites=len(reserved),
+                spot_cores=sum(site.cores for site in spot),
+                spot_uplink_bps=sum(site.uplink_bps for site in spot),
+                spot_sites=len(spot),
+            )
+            self._committed_key = key
+        return self._committed
+
+
 class FluidTimeline:
     """Advance a population×fleet scenario through epochs of load and events."""
 
@@ -803,10 +910,7 @@ class FluidTimeline:
 
     # -- stepping --------------------------------------------------------------------
 
-    def _apply_reconfig(self, event: ReconfigEvent,
-                        autoscale: Optional[AutoscaleRun],
-                        adversary: Optional[AdversaryRun],
-                        snapshot_ring) -> None:
+    def _apply_reconfig(self, event: ReconfigEvent, state: _RunState) -> None:
         """Apply one committed transaction atomically at the epoch boundary.
 
         Every feasibility check runs before the first mutation, so a
@@ -814,6 +918,7 @@ class FluidTimeline:
         the game exactly as they were.
         """
         fleet = self.fleet
+        autoscale, adversary = state.autoscale, state.adversary
         if (event.policy is not None or event.min_sites is not None
                 or event.max_sites is not None) and autoscale is None:
             raise WorkloadError(
@@ -839,7 +944,7 @@ class FluidTimeline:
             site = fleet.site(name)
             if not site.active:
                 if site.healthy:
-                    snapshot_ring()
+                    state.snapshot_ring()
                 fleet.activate_site(name)
             if autoscale is not None:
                 autoscale.note_external_activation(name)
@@ -849,7 +954,7 @@ class FluidTimeline:
                 autoscale.note_external_drain(name)
             if site.active:
                 if site.in_service:
-                    snapshot_ring()
+                    state.snapshot_ring()
                 fleet.drain_site(name)
         if autoscale is not None:
             autoscale.reconfigure(policy=event.policy,
@@ -858,22 +963,20 @@ class FluidTimeline:
         if event.adoption is not None and adversary is not None:
             adversary.retune(event.adoption)
 
-    def _fire(self, event: FleetEvent, throttles: List[DiscriminationToggle],
-              degradations: List[CapacityDegradation]) -> bool:
-        """Apply one event; returns whether the hash ring changed."""
+    def _fire(self, event: FleetEvent, state: _RunState) -> None:
+        """Apply one fleet event, snapshotting the ring before it changes."""
         if isinstance(event, SiteFailure):
+            state.snapshot_ring()
             self.fleet.fail_site(event.site)
-            return True
-        if isinstance(event, SiteRecovery):
+        elif isinstance(event, SiteRecovery):
+            state.snapshot_ring()
             self.fleet.restore_site(event.site)
-            return True
-        if isinstance(event, CapacityDegradation):
-            degradations.append(event)
-            return False
-        if isinstance(event, DiscriminationToggle):
-            throttles.append(event)
-            return False
-        raise WorkloadError(f"unknown fleet event {event!r}")
+        elif isinstance(event, CapacityDegradation):
+            state.degradations.append(event)
+        elif isinstance(event, DiscriminationToggle):
+            state.throttles.append(event)
+        else:
+            raise WorkloadError(f"unknown fleet event {event!r}")
 
     def _demand_scale(self, template: ProblemTemplate, epoch: int, t: float,
                       throttles: Sequence[DiscriminationToggle],
@@ -963,9 +1066,7 @@ class FluidTimeline:
             "timeline", epochs=self.epochs, clients=self.population.n_clients
         )
         with run_span:
-            records, cpu_util, uplink_util, clients_matrix = self._run_epochs(
-                telemetry
-            )
+            records, cpu_util, uplink_util, clients_matrix = self._run_epochs()
         if elog is not None:
             elog.emit(
                 "timeline_complete",
@@ -992,420 +1093,319 @@ class FluidTimeline:
             wall_seconds=run_span.seconds,
         )
 
-    def _run_epochs(
-        self, telemetry: Telemetry,
-    ) -> Tuple[List[EpochRecord], np.ndarray, np.ndarray, np.ndarray]:
-        population = self.population
-        fleet = self.fleet
-        sites = fleet.n_sites
-        elog = telemetry.events
-
-        throttles: List[DiscriminationToggle] = []
-        degradations: List[CapacityDegradation] = []
-        pending = list(self.events)
-        autoscale = (AutoscaleRun(self.autoscaler, fleet, telemetry=telemetry)
-                     if self.autoscaler is not None else None)
-        adversary = (AdversaryRun(self.adversary, population,
-                                  latency=self.latency,
-                                  latency_slo_seconds=self.latency_slo_seconds,
-                                  telemetry=telemetry)
-                     if self.adversary is not None else None)
-
-        template: Optional[ProblemTemplate] = None
-        previous_rates: Optional[np.ndarray] = None
-        #: Congestion prices of the previous elastic solve.  Prices are
-        #: per-resource, and the resource list (regions + site uplinks +
-        #: site CPUs, indices stable across failures) never changes shape,
-        #: so unlike the rates they survive template rebuilds.
-        previous_prices: Optional[np.ndarray] = None
-        base_demand_bps: Optional[float] = None
-        #: Demand-weighted per-region weights for the autoscaler's forecast.
-        region_demand: Optional[np.ndarray] = None
-        last_metrics: Optional[EpochMetrics] = None
-        #: The previous epoch's full solved state: an epoch with the same
-        #: template, demand scaling and capacity scaling (steady load, no
-        #: events) is the *same problem*, so the instantiated problem, the
-        #: allocation, the interpreted fluid result and the latency metrics
-        #: are all reused outright — the steady-state epoch costs two small
-        #: array comparisons, independent of anything else.
-        previous_template = None
-        previous_served_scale: Optional[np.ndarray] = None
-        previous_capacity_scale: Optional[np.ndarray] = None
-        previous_extra_setups: Optional[np.ndarray] = None
-        previous_epoch_problem = None
-        previous_allocation = None
-        previous_fluid = None
-        previous_latency = (0.0, 0.0, 0.0, 0.0)
-        previous_latency_result = None
-        previous_split: Tuple[Dict[str, float], Dict[str, float]] = ({}, {})
-        previous_experienced = (0.0, 0.0, 0.0, 0.0)
-        #: Committed-capacity sums, cached while fleet state is unchanged.
-        committed_key = None
-        committed_totals = (0.0, 0.0, 0, 0.0, 0.0, 0)
-
+    def _run_epochs(self) -> Tuple[List[EpochRecord], np.ndarray,
+                                   np.ndarray, np.ndarray]:
+        """Run the epoch pipeline: six stages per epoch over one run state."""
+        telemetry = self.telemetry
+        state = _RunState(self)
+        sites = self.fleet.n_sites
         records: List[EpochRecord] = []
         cpu_util = np.zeros((self.epochs, sites))
         uplink_util = np.zeros((self.epochs, sites))
         clients_matrix = np.zeros((self.epochs, sites), dtype=np.int64)
-
         for epoch in range(self.epochs):
             with telemetry.span("epoch", epoch=epoch):
                 t = epoch * self.epoch_seconds
-
-                # The pre-change ring is snapshotted lazily: only epochs where
-                # an event or autoscale action actually touches the ring pays
-                # for it (and the array form is zero-copy — rebuilds allocate
-                # anew).
-                ring_before: List = []
-
-                def snapshot_ring() -> None:
-                    if not ring_before:
-                        ring_before.append(fleet.ring_state())
-
-                # Expired windows can never re-activate; pruning them keeps
-                # the per-epoch scans bounded by *live* windows even on long
-                # runs with frequent attack onsets.
-                if throttles:
-                    throttles[:] = [toggle for toggle in throttles
-                                    if toggle.until_epoch is None
-                                    or epoch < toggle.until_epoch]
-                if degradations:
-                    degradations[:] = [event for event in degradations
-                                       if event.until_epoch is None
-                                       or epoch < event.until_epoch]
-
-                fired: List[str] = []
-                while pending and pending[0].at_epoch == epoch:
-                    event = pending.pop(0)
-                    if isinstance(event, ReconfigEvent):
-                        self._apply_reconfig(event, autoscale, adversary,
-                                             snapshot_ring)
-                        fired.append(event.describe())
-                        if elog is not None:
-                            elog.emit("reconfig", epoch=epoch,
-                                      description=fired[-1])
-                        continue
-                    if isinstance(event, (SiteFailure, SiteRecovery)):
-                        snapshot_ring()
-                    self._fire(event, throttles, degradations)
-                    fired.append(event.describe())
-                    if elog is not None:
-                        elog.emit("fleet_event", epoch=epoch,
-                                  description=fired[-1])
-
-                actions: Tuple[str, ...] = ()
-                if autoscale is not None:
-                    with telemetry.span("autoscale_step"):
-                        actions = tuple(autoscale.step(
-                            epoch, last_metrics,
-                            self._forecast(t, region_demand),
-                            snapshot_ring,
-                        ))
-                    if elog is not None and actions:
-                        elog.emit("autoscale", epoch=epoch,
-                                  actions=list(actions))
-
-                ring_moved = 0.0
-                if ring_before:
-                    ring_moved = fleet.ring_moved_fraction(
-                        ring_before[0], fleet.ring_state()
-                    )
-
-                with telemetry.span("ring_remap"):
-                    new_template = self._scenario.build_template()
-                remapped = 0
-                if new_template is not template:
-                    previous_rates = None  # flow structure changed; rates misaligned
-                    if template is not None:
-                        remapped = new_template.remapped_from_parent
-                template = new_template
-                telemetry.inc("timeline.clients_remapped", remapped)
-                if base_demand_bps is None:
-                    per_flow_bps = template.base_demands * template.group_clients
-                    base_demand_bps = float(per_flow_bps.sum())
-                    region_demand = np.bincount(
-                        template.region_of, weights=per_flow_bps,
-                        minlength=population.regions,
-                    )
-
-                offered_scale, served_scale = self._demand_scale(
-                    template, epoch, t, throttles
-                )
-                capacity_scale = self._capacity_scale(epoch, degradations)
-
-                adversary_epoch = None
-                extra_setups: Optional[np.ndarray] = None
-                if adversary is not None:
-                    with telemetry.span("adversary_step"):
-                        adversary_epoch = adversary.step(
-                            epoch, template, offered_scale, self.epoch_seconds
-                        )
-                    served_scale = served_scale * adversary_epoch.served_multiplier
-                    extra_setups = adversary_epoch.extra_setups_per_flow
-                    if elog is not None and adversary_epoch.events:
-                        elog.emit("adversary", epoch=epoch,
-                                  events=list(adversary_epoch.events))
-
-                offered_flow_bps = (template.base_demands * offered_scale
-                                    * template.group_clients)
-                offered_bps = float(offered_flow_bps.sum())
-                offered_by_class = np.bincount(
-                    template.class_of, weights=offered_flow_bps,
-                    minlength=population.n_classes,
-                )
-                demand_bps_by_class = {
-                    name: float(offered_by_class[index])
-                    for index, name in enumerate(population.mix.names)
-                }
-
-                scales_unchanged = (
-                    self.warm_start
-                    and previous_epoch_problem is not None
-                    and template is previous_template
-                    and np.array_equal(served_scale, previous_served_scale)
-                    and _optional_arrays_equal(capacity_scale,
-                                               previous_capacity_scale)
-                    and _optional_arrays_equal(extra_setups,
-                                               previous_extra_setups)
-                )
-                if scales_unchanged:
-                    # Bit-identical problem (steady load, same fleet state):
-                    # the previous answer IS the answer — reuse the
-                    # instantiated problem, the allocation, the fluid
-                    # interpretation and the latency metrics without
-                    # rebuilding any of them.
-                    reuse_span = telemetry.span("solve", reused=True)
-                    with reuse_span:
-                        epoch_problem = previous_epoch_problem
-                        allocation = Allocation(
-                            rates=previous_allocation.rates,
-                            bottleneck=previous_allocation.bottleneck,
-                            iterations=0,
-                            warm_started=True,
-                            prices=previous_allocation.prices,
-                        )
-                        fluid = previous_fluid
-                        latency_result = previous_latency_result
-                        (latency_p50, latency_p95, latency_p99,
-                         latency_violations) = previous_latency
-                    solve_seconds = reuse_span.seconds
-                    telemetry.inc("timeline.epochs_reused")
-                else:
-                    instantiate_span = telemetry.span("template_instantiate")
-                    with instantiate_span:
-                        epoch_problem = template.instantiate(
-                            served_scale, capacity_scale, extra_setups
-                        )
-                    solve_span = telemetry.span("solve")
-                    with solve_span:
-                        allocation = solve_allocation(
-                            epoch_problem.problem,
-                            warm_start=(previous_rates if self.warm_start
-                                        else None),
-                            warm_prices=(previous_prices if self.warm_start
-                                         else None),
-                            telemetry=telemetry,
-                        )
-                        fluid = template.interpret(epoch_problem, allocation)
-                    latency_result = None
-                    latency_p50 = latency_p95 = latency_p99 = 0.0
-                    latency_violations = 0.0
-                    latency_seconds = 0.0
-                    if self.latency is not None:
-                        latency_span = telemetry.span("latency_proxy")
-                        with latency_span:
-                            latency_result = evaluate_latency(
-                                template, epoch_problem, allocation,
-                                self.latency
-                            )
-                            latency_p50, latency_p95, latency_p99 = (
-                                latency_result.percentiles((0.50, 0.95, 0.99))
-                            )
-                            latency_violations = (
-                                latency_result.slo_violation_fraction(
-                                    self.latency_slo_seconds
-                                )
-                            )
-                        latency_seconds = latency_span.seconds
-                    solve_seconds = (instantiate_span.seconds
-                                     + solve_span.seconds + latency_seconds)
-                    telemetry.observe("timeline.solver_iterations",
-                                      allocation.iterations)
-                telemetry.inc("timeline.epochs")
-                previous_rates = allocation.rates
-                previous_prices = allocation.prices
-                previous_template = template
-                previous_served_scale = served_scale
-                previous_capacity_scale = capacity_scale
-                previous_extra_setups = extra_setups
-                previous_epoch_problem = epoch_problem
-                previous_allocation = allocation
-                previous_fluid = fluid
-                previous_latency_result = latency_result
-                previous_latency = (latency_p50, latency_p95, latency_p99,
-                                    latency_violations)
-
-                neutralized_p95: Dict[str, float] = {}
-                exposed_p95: Dict[str, float] = {}
-                #: What the epoch record quotes.  Without an adversary this
-                #: is the fleet-path proxy; with one it is the
-                #: client-experienced mixture including the policer delay of
-                #: flagged traffic, so the headline fields agree with the
-                #: game's own harm ledger.  The autoscaler's control signal
-                #: stays the fleet-path P95 — capacity cannot buy back a
-                #: policer queue.
-                recorded_latency = (latency_p50, latency_p95, latency_p99,
-                                    latency_violations)
-                if adversary is not None:
-                    adversary.observe(template, allocation,
-                                      epoch_problem.problem, latency_result)
-                    if latency_result is not None:
-                        # A bit-identical epoch with no game moves has the
-                        # same split; only a fresh solve or an
-                        # adoption/strategy move can change it.
-                        if scales_unchanged and not adversary_epoch.events:
-                            neutralized_p95, exposed_p95 = previous_split
-                            recorded_latency = previous_experienced
-                        else:
-                            neutralized_p95, exposed_p95 = split_latency_by_class(
-                                template, latency_result, adversary_epoch
-                            )
-                            recorded_latency = experienced_latency(
-                                template, latency_result, adversary_epoch,
-                                self.latency_slo_seconds,
-                            )
-                        previous_split = (neutralized_p95, exposed_p95)
-                        previous_experienced = recorded_latency
-
-                cpu_util[epoch] = fluid.cpu_utilization
-                uplink_util[epoch] = fluid.uplink_utilization
-                clients_matrix[epoch] = fluid.clients_per_site
-
-                in_service = fleet.in_service_mask()
-                n_in_service = int(in_service.sum())
-                n_warming = len(autoscale.warming) if autoscale is not None else 0
-                demand_multiplier = (offered_bps / base_demand_bps
-                                     if base_demand_bps else 0.0)
-                delivered = (fluid.total_goodput_bps / offered_bps
-                             if offered_bps > 0 else 1.0)
-
-                site_load = np.maximum(fluid.cpu_utilization,
-                                       fluid.uplink_utilization)
-                serving_load = site_load[in_service]
-                last_metrics = EpochMetrics(
-                    served_sites=n_in_service,
-                    mean_utilization=(float(serving_load.mean())
-                                      if n_in_service else 0.0),
-                    peak_utilization=(float(serving_load.max())
-                                      if n_in_service else 0.0),
-                    delivered_fraction=delivered,
-                    demand_multiplier=demand_multiplier,
-                    latency_p95_seconds=latency_p95,
-                    adoption_fraction=(adversary_epoch.adoption_fraction
-                                       if adversary_epoch is not None else 0.0),
-                )
-
-                # Billing covers every *commissioned* site — active (even
-                # while failed: a box being down does not stop its bill) plus
-                # warming ones — unlike the controller's capacity view, which
-                # counts only sites actually serving.
-                warming_names = (tuple(autoscale.warming)
-                                 if autoscale is not None else ())
-                epoch_key = (fleet.active_version, warming_names)
-                if epoch_key != committed_key:
-                    committed_sites = [site for site in fleet.sites
-                                       if site.active]
-                    committed_sites += [fleet.site(name)
-                                        for name in warming_names]
-                    reserved = [site for site in committed_sites
-                                if site.tier != "spot"]
-                    spot = [site for site in committed_sites
-                            if site.tier == "spot"]
-                    committed_totals = (
-                        sum(site.cores for site in reserved),
-                        sum(site.uplink_bps for site in reserved),
-                        len(reserved),
-                        sum(site.cores for site in spot),
-                        sum(site.uplink_bps for site in spot),
-                        len(spot),
-                    )
-                    committed_key = epoch_key
-                provision_cost = self.provisioning_cost.epoch_cost(
-                    cores=committed_totals[0],
-                    uplink_bps=committed_totals[1],
-                    sites=committed_totals[2],
-                    epoch_seconds=self.epoch_seconds,
-                    clients_remapped=remapped,
-                    spot_cores=committed_totals[3],
-                    spot_uplink_bps=committed_totals[4],
-                    spot_sites=committed_totals[5],
-                )
-
-                records.append(EpochRecord(
-                    epoch=epoch,
-                    t_seconds=t,
-                    events=tuple(fired),
-                    demand_multiplier=demand_multiplier,
-                    demand_bps=offered_bps,
-                    goodput_bps=fluid.total_goodput_bps,
-                    goodput_bps_by_class=dict(fluid.goodput_bps),
-                    delivered_fraction=delivered,
-                    peak_cpu_utilization=float(fluid.cpu_utilization.max()),
-                    peak_uplink_utilization=float(fluid.uplink_utilization.max()),
-                    key_setup_pps=fluid.key_setup_pps,
-                    clients_remapped=remapped,
-                    ring_moved_fraction=ring_moved,
-                    warm_started=allocation.warm_started,
-                    solver_iterations=allocation.iterations,
+                fired = self._stage_events(state, epoch)
+                actions = self._stage_autoscale(state, epoch, t)
+                remapped, ring_moved = self._stage_ring_remap(state)
+                demand = self._stage_demand(state, epoch, t)
+                solved, allocation, solve_seconds = self._stage_solve(state,
+                                                                      demand)
+                records.append(self._stage_record(
+                    state, epoch, fired=fired, actions=actions,
+                    remapped=remapped, ring_moved=ring_moved, demand=demand,
+                    solved=solved, allocation=allocation,
                     solve_seconds=solve_seconds,
-                    sites_in_service=n_in_service,
-                    sites_warming=n_warming,
-                    autoscale_actions=actions,
-                    provision_cost=provision_cost,
-                    latency_p50_seconds=recorded_latency[0],
-                    latency_p95_seconds=recorded_latency[1],
-                    latency_p99_seconds=recorded_latency[2],
-                    latency_slo_violations=recorded_latency[3],
-                    demand_bps_by_class=demand_bps_by_class,
-                    discriminated_share=(adversary_epoch.discriminated_share
-                                         if adversary_epoch is not None
-                                         else 0.0),
-                    adoption_fraction=(adversary_epoch.adoption_fraction
-                                       if adversary_epoch is not None
-                                       else 0.0),
-                    clients_rekeyed=(adversary_epoch.clients_rekeyed
-                                     if adversary_epoch is not None else 0),
-                    adversary_events=(adversary_epoch.events
-                                      if adversary_epoch is not None else ()),
-                    neutralized_latency_p95=neutralized_p95,
-                    exposed_latency_p95=exposed_p95,
                 ))
-
-                if elog is not None:
-                    # Per-site served capacity: the in-service flag times the
-                    # degradation scale — the availability signal the
-                    # black-hole detector runs CUSUM over.  ``site_active``
-                    # masks out drained/warming sites (not commissioned to
-                    # serve), so scale-downs are never mistaken for faults.
-                    if capacity_scale is None:
-                        site_served = [1.0 if flag else 0.0
-                                       for flag in in_service]
-                    else:
-                        site_served = [float(scale) if flag else 0.0
-                                       for flag, scale
-                                       in zip(in_service, capacity_scale)]
-                    elog.emit(
-                        "epoch",
-                        epoch=epoch,
-                        delivered_fraction=float(delivered),
-                        demand_multiplier=float(demand_multiplier),
-                        latency_p95_seconds=float(recorded_latency[1]),
-                        latency_slo_violations=float(recorded_latency[3]),
-                        sites_in_service=n_in_service,
-                        sites_warming=n_warming,
-                        site_served=site_served,
-                        site_active=[bool(site.active)
-                                     for site in fleet.sites],
-                    )
-
+                cpu_util[epoch] = solved.fluid.cpu_utilization
+                uplink_util[epoch] = solved.fluid.uplink_utilization
+                clients_matrix[epoch] = solved.fluid.clients_per_site
         return records, cpu_util, uplink_util, clients_matrix
+
+    def _stage_events(self, state: _RunState, epoch: int) -> Tuple[str, ...]:
+        """Stage 1: prune expired windows, fire due events and reconfigs."""
+        state.ring_before = None
+        with self.telemetry.span("events"):
+            # Expired windows can never re-activate; pruning them keeps the
+            # per-epoch scans bounded by *live* windows even on long runs
+            # with frequent attack onsets.
+            if state.throttles:
+                state.throttles[:] = [toggle for toggle in state.throttles
+                                      if toggle.until_epoch is None
+                                      or epoch < toggle.until_epoch]
+            if state.degradations:
+                state.degradations[:] = [event for event in state.degradations
+                                         if event.until_epoch is None
+                                         or epoch < event.until_epoch]
+            elog = self.telemetry.events
+            fired: List[str] = []
+            pending = state.pending
+            while pending and pending[0].at_epoch == epoch:
+                event = pending.pop(0)
+                if isinstance(event, ReconfigEvent):
+                    self._apply_reconfig(event, state)
+                    kind = "reconfig"
+                else:
+                    self._fire(event, state)
+                    kind = "fleet_event"
+                fired.append(event.describe())
+                if elog is not None:
+                    elog.emit(kind, epoch=epoch, description=fired[-1])
+        return tuple(fired)
+
+    def _stage_autoscale(self, state: _RunState, epoch: int,
+                         t: float) -> Tuple[str, ...]:
+        """Stage 2: the closed-loop controller commissions or drains sites."""
+        if state.autoscale is None:
+            return ()
+        with self.telemetry.span("autoscale_step"):
+            actions = tuple(state.autoscale.step(
+                epoch, state.last_metrics,
+                self._forecast(t, state.region_demand), state.snapshot_ring,
+            ))
+        elog = self.telemetry.events
+        if elog is not None and actions:
+            elog.emit("autoscale", epoch=epoch, actions=list(actions))
+        return actions
+
+    def _stage_ring_remap(self, state: _RunState) -> Tuple[int, float]:
+        """Stage 3: clients remapped and ring fraction moved; the template."""
+        fleet = self.fleet
+        with self.telemetry.span("ring_remap"):
+            ring_moved = 0.0
+            if state.ring_before is not None:
+                ring_moved = fleet.ring_moved_fraction(state.ring_before,
+                                                       fleet.ring_state())
+            template = self._scenario.build_template()
+            remapped = 0
+            if state.template is not None and template is not state.template:
+                remapped = template.remapped_from_parent
+            state.template = template
+            self.telemetry.inc("timeline.clients_remapped", remapped)
+            if state.base_demand_bps is None:
+                per_flow_bps = template.base_demands * template.group_clients
+                state.base_demand_bps = float(per_flow_bps.sum())
+                state.region_demand = np.bincount(
+                    template.region_of, weights=per_flow_bps,
+                    minlength=self.population.regions,
+                )
+        return remapped, ring_moved
+
+    def _stage_demand(self, state: _RunState, epoch: int,
+                      t: float) -> _EpochDemand:
+        """Stage 4: demand and capacity scaling, then the adversary's move."""
+        template = state.template
+        mix = self.population.mix
+        with self.telemetry.span("demand"):
+            offered_scale, served_scale = self._demand_scale(
+                template, epoch, t, state.throttles
+            )
+            capacity_scale = self._capacity_scale(epoch, state.degradations)
+            offered_flow_bps = (template.base_demands * offered_scale
+                                * template.group_clients)
+            offered_by_class = np.bincount(
+                template.class_of, weights=offered_flow_bps,
+                minlength=self.population.n_classes,
+            )
+            demand_bps_by_class = {name: float(offered_by_class[index])
+                                   for index, name in enumerate(mix.names)}
+        adversary_epoch = None
+        extra_setups: Optional[np.ndarray] = None
+        if state.adversary is not None:
+            with self.telemetry.span("adversary_step"):
+                adversary_epoch = state.adversary.step(
+                    epoch, template, offered_scale, self.epoch_seconds
+                )
+                served_scale = served_scale * adversary_epoch.served_multiplier
+                extra_setups = adversary_epoch.extra_setups_per_flow
+            elog = self.telemetry.events
+            if elog is not None and adversary_epoch.events:
+                elog.emit("adversary", epoch=epoch,
+                          events=list(adversary_epoch.events))
+        return _EpochDemand(float(offered_flow_bps.sum()), demand_bps_by_class,
+                            served_scale, capacity_scale, extra_setups,
+                            adversary_epoch)
+
+    def _stage_solve(self, state: _RunState, demand: _EpochDemand,
+                     ) -> Tuple[_SolvedEpoch, Allocation, float]:
+        """Stage 5: reuse a bit-identical epoch, or solve this one afresh.
+
+        Returns the solved epoch, this epoch's allocation and its seconds.
+        """
+        telemetry = self.telemetry
+        template, memo = state.template, state.memo
+        adversary_epoch = demand.adversary_epoch
+        if memo is not None and memo.matches(template, demand.served_scale,
+                                             demand.capacity_scale,
+                                             demand.extra_setups):
+            # Bit-identical problem (steady load, same fleet state): the
+            # previous answer IS the answer.  Only a game move can change
+            # the neutralized/exposed split.
+            with telemetry.span("solve", reused=True) as reuse_span:
+                allocation = replace(memo.allocation, iterations=0,
+                                     warm_started=True)
+                if (memo.latency_result is not None
+                        and adversary_epoch is not None and adversary_epoch.events):
+                    split, experienced = self._adversary_latency(
+                        template, memo.latency_result, adversary_epoch)
+                    memo = replace(memo, split=split,
+                                   experienced_latency=experienced)
+            state.memo = memo
+            telemetry.inc("timeline.epochs_reused")
+            return memo, allocation, reuse_span.seconds
+        with telemetry.span("template_instantiate") as instantiate_span:
+            epoch_problem = template.instantiate(
+                demand.served_scale, demand.capacity_scale, demand.extra_setups
+            )
+        with telemetry.span("solve") as solve_span:
+            allocation = solve_allocation(
+                epoch_problem.problem,
+                warm_start=(memo.allocation.rates
+                            if memo is not None and memo.template is template
+                            else None),
+                warm_prices=memo.allocation.prices if memo is not None else None,
+                telemetry=telemetry,
+            )
+            fluid = template.interpret(epoch_problem, allocation)
+        seconds = instantiate_span.seconds + solve_span.seconds
+        latency_result = None
+        latency = experienced = (0.0, 0.0, 0.0, 0.0)
+        split: Tuple[Dict[str, float], Dict[str, float]] = ({}, {})
+        if self.latency is not None:
+            with telemetry.span("latency_proxy") as latency_span:
+                latency_result = evaluate_latency(
+                    template, epoch_problem, allocation, self.latency
+                )
+                latency = experienced = (
+                    *latency_result.percentiles((0.50, 0.95, 0.99)),
+                    latency_result.slo_violation_fraction(
+                        self.latency_slo_seconds),
+                )
+                if adversary_epoch is not None:
+                    split, experienced = self._adversary_latency(
+                        template, latency_result, adversary_epoch)
+            seconds += latency_span.seconds
+        telemetry.observe("timeline.solver_iterations", allocation.iterations)
+        solved = _SolvedEpoch(
+            template=template, served_scale=demand.served_scale,
+            capacity_scale=demand.capacity_scale,
+            extra_setups=demand.extra_setups, epoch_problem=epoch_problem,
+            allocation=allocation, fluid=fluid, latency_result=latency_result,
+            latency=latency, experienced_latency=experienced, split=split,
+        )
+        if self.warm_start:
+            state.memo = solved
+        return solved, allocation, seconds
+
+    def _adversary_latency(self, template: ProblemTemplate,
+                           latency_result: LatencyResult,
+                           adversary_epoch: AdversaryEpoch):
+        """The neutralized/exposed P95 split and the experienced latency."""
+        return (split_latency_by_class(template, latency_result, adversary_epoch),
+                experienced_latency(template, latency_result, adversary_epoch,
+                                    self.latency_slo_seconds))
+
+    def _stage_record(self, state: _RunState, epoch: int, *,
+                      fired: Tuple[str, ...], actions: Tuple[str, ...],
+                      remapped: int, ring_moved: float, demand: _EpochDemand,
+                      solved: _SolvedEpoch, allocation: Allocation,
+                      solve_seconds: float) -> EpochRecord:
+        """Stage 6: feed the controllers, bill the epoch, record and emit it."""
+        telemetry = self.telemetry
+        telemetry.inc("timeline.epochs")
+        fleet = self.fleet
+        fluid = solved.fluid
+        adversary_epoch = demand.adversary_epoch
+        with telemetry.span("record"):
+            if state.adversary is not None:
+                state.adversary.observe(state.template, allocation,
+                                        solved.epoch_problem.problem,
+                                        solved.latency_result)
+            in_service = fleet.in_service_mask()
+            n_in_service = int(in_service.sum())
+            warming = (tuple(state.autoscale.warming)
+                       if state.autoscale is not None else ())
+            demand_multiplier = (demand.offered_bps / state.base_demand_bps
+                                 if state.base_demand_bps else 0.0)
+            delivered = (fluid.total_goodput_bps / demand.offered_bps
+                         if demand.offered_bps > 0 else 1.0)
+            serving_load = np.maximum(fluid.cpu_utilization,
+                                      fluid.uplink_utilization)[in_service]
+            state.last_metrics = EpochMetrics(
+                served_sites=n_in_service,
+                mean_utilization=(float(serving_load.mean())
+                                  if n_in_service else 0.0),
+                peak_utilization=(float(serving_load.max())
+                                  if n_in_service else 0.0),
+                delivered_fraction=delivered,
+                demand_multiplier=demand_multiplier,
+                latency_p95_seconds=solved.latency[1],
+                adoption_fraction=(adversary_epoch.adoption_fraction
+                                   if adversary_epoch is not None else 0.0),
+            )
+            provision_cost = self.provisioning_cost.epoch_cost(
+                epoch_seconds=self.epoch_seconds, clients_remapped=remapped,
+                **state.committed_capacity(warming),
+            )
+            recorded = solved.experienced_latency
+            adversary_fields = {} if adversary_epoch is None else dict(
+                discriminated_share=adversary_epoch.discriminated_share,
+                adoption_fraction=adversary_epoch.adoption_fraction,
+                clients_rekeyed=adversary_epoch.clients_rekeyed,
+                adversary_events=adversary_epoch.events,
+            )
+            record = EpochRecord(
+                epoch=epoch,
+                t_seconds=epoch * self.epoch_seconds,
+                events=fired,
+                demand_multiplier=demand_multiplier,
+                demand_bps=demand.offered_bps,
+                goodput_bps=fluid.total_goodput_bps,
+                goodput_bps_by_class=dict(fluid.goodput_bps),
+                delivered_fraction=delivered,
+                peak_cpu_utilization=float(fluid.cpu_utilization.max()),
+                peak_uplink_utilization=float(fluid.uplink_utilization.max()),
+                key_setup_pps=fluid.key_setup_pps,
+                clients_remapped=remapped,
+                ring_moved_fraction=ring_moved,
+                warm_started=allocation.warm_started,
+                solver_iterations=allocation.iterations,
+                solve_seconds=solve_seconds,
+                sites_in_service=n_in_service,
+                sites_warming=len(warming),
+                autoscale_actions=actions,
+                provision_cost=provision_cost,
+                latency_p50_seconds=recorded[0],
+                latency_p95_seconds=recorded[1],
+                latency_p99_seconds=recorded[2],
+                latency_slo_violations=recorded[3],
+                demand_bps_by_class=demand.demand_bps_by_class,
+                neutralized_latency_p95=solved.split[0],
+                exposed_latency_p95=solved.split[1],
+                **adversary_fields,
+            )
+            if telemetry.events is not None:
+                # Per-site served capacity: the in-service flag times the
+                # degradation scale — the availability signal the
+                # black-hole detector runs CUSUM over.  ``site_active``
+                # masks out drained/warming sites (not commissioned to
+                # serve), so scale-downs are never mistaken for faults.
+                scale = demand.capacity_scale
+                site_served = ([1.0 if flag else 0.0 for flag in in_service]
+                               if scale is None else
+                               [float(factor) if flag else 0.0
+                                for flag, factor in zip(in_service, scale)])
+                telemetry.events.emit(
+                    "epoch",
+                    epoch=epoch,
+                    delivered_fraction=float(delivered),
+                    demand_multiplier=float(demand_multiplier),
+                    latency_p95_seconds=float(recorded[1]),
+                    latency_slo_violations=float(recorded[3]),
+                    sites_in_service=n_in_service,
+                    sites_warming=len(warming),
+                    site_served=site_served,
+                    site_active=[bool(site.active) for site in fleet.sites],
+                )
+        return record

@@ -226,6 +226,40 @@ class TestEndpoints:
             http_get(monitor.url + "/events?since_seq=banana")
         assert bad.value.code == 400
 
+    @staticmethod
+    def assert_rejected(monitor, path, parameter, headers=None):
+        with pytest.raises(HTTPError) as bad:
+            http_get(monitor.url + path, headers=headers)
+        assert bad.value.code == 400
+        assert parameter in json.loads(bad.value.read())["error"]
+
+    def test_events_cursor_below_minus_one_is_400(self, served):
+        self.assert_rejected(served[0], "/events?since_seq=-5", "since_seq")
+
+    def test_events_negative_limit_is_400(self, served):
+        self.assert_rejected(served[0], "/events?limit=-1", "limit")
+
+    def test_stream_cursor_below_minus_one_is_400(self, served):
+        self.assert_rejected(served[0], "/stream?since_seq=-2", "since_seq")
+
+    def test_stream_negative_limit_is_400(self, served):
+        self.assert_rejected(served[0], "/stream?limit=-3", "limit")
+
+    def test_last_event_id_below_minus_one_is_400(self, served):
+        self.assert_rejected(served[0], "/stream?limit=1", "Last-Event-ID",
+                             headers={"Last-Event-ID": "-7"})
+
+    def test_events_page_never_reports_more_than_the_log(self, served):
+        monitor, telemetry = served
+        total = len(telemetry.events.events)
+        for since_seq in (-5, -1, 0, total // 2, total - 1, total + 3):
+            for limit in (0, 1, 7, total + 1):
+                lines, next_seq, remaining = monitor.events_page(since_seq,
+                                                                 limit)
+                assert 0 <= remaining <= total
+                assert len(lines) + remaining <= total
+                assert next_seq >= -1
+
 
 class TestStreamReplay:
     def test_last_event_id_resumes_exactly_once(self, baseline):

@@ -104,20 +104,57 @@ class TestBitIdentity:
 
 
 class TestSpans:
+    @staticmethod
+    def pipeline(children, *, autoscale, adversary, latency):
+        """The stage spans an epoch must open, in order; absent controllers
+        open none, and a reused epoch has one ``solve(reused=True)``."""
+        solve = children[-2]
+        if solve.name == "solve" and solve.attrs == {"reused": True}:
+            solved = ["solve"]
+        else:
+            solved = ["template_instantiate", "solve"] + (
+                ["latency_proxy"] if latency else [])
+        return (["events"] + (["autoscale_step"] if autoscale else [])
+                + ["ring_remap", "demand"]
+                + (["adversary_step"] if adversary else [])
+                + solved + ["record"])
+
     def test_campaign_trace_is_well_formed(self):
-        telemetry = Telemetry()
+        e15 = LatencyCampaignRunner(clients=_CLIENTS, epochs=16, replicas=1,
+                                    seed=_SEED, telemetry=Telemetry())
+        e16 = AdversaryCampaignRunner(clients=_CLIENTS, epochs=12,
+                                      replicas_per_point=1, seed=_SEED,
+                                      telemetry=Telemetry())
+        flash = Telemetry()
         run_scenario("flash_crowd", clients=_CLIENTS, seed=_SEED,
-                     telemetry=telemetry)
-        tracer = telemetry.tracer
-        tracer.assert_well_formed()
-        assert tracer.open_spans == []
-        names = {record.name for record in tracer.spans}
-        assert {"timeline", "epoch", "solve", "ring_remap"} <= names
-        assert all(record.start_s >= 0.0 for record in tracer.spans)
-        # Every epoch span is a child of the single timeline span.
-        (timeline_span,) = tracer.by_name("timeline")
-        assert all(record.parent == timeline_span.id
-                   for record in tracer.by_name("epoch"))
+                     telemetry=flash)
+        e15.run_unit(e15.unit_specs()[0])
+        e16.run_unit(e16.unit_specs()[0])
+        reused = set()
+        for telemetry, controllers in (
+            (flash, dict(autoscale=False, adversary=False, latency=False)),
+            (e15.telemetry, dict(autoscale=True, adversary=False, latency=True)),
+            (e16.telemetry, dict(autoscale=True, adversary=True, latency=True)),
+        ):
+            tracer = telemetry.tracer
+            tracer.assert_well_formed()
+            assert tracer.open_spans == []
+            assert all(record.start_s >= 0.0 for record in tracer.spans)
+            # Every epoch span is a child of the single timeline span.
+            (timeline_span,) = tracer.by_name("timeline")
+            epochs = tracer.by_name("epoch")
+            assert epochs and all(record.parent == timeline_span.id
+                                  for record in epochs)
+            children = {}
+            for record in sorted(tracer.spans, key=lambda span: span.id):
+                children.setdefault(record.parent, []).append(record)
+            for epoch in epochs:
+                stages = children[epoch.id]
+                assert [span.name for span in stages] == self.pipeline(
+                    stages, **controllers), epoch.attrs
+                reused.add(stages[-2].attrs == {"reused": True})
+        # Both a reused and a freshly solved epoch were checked.
+        assert reused == {True, False}
 
     def test_out_of_order_close_raises(self):
         tracer = Tracer()
