@@ -44,6 +44,10 @@ clients as aggregate fluid demand instead:
     ramp), fleet events (failure/recovery, degradation, discrimination
     toggles), warm-started epoch solves, closed-loop autoscaling, and
     remap-churn plus dollar-cost accounting.
+``memo``
+    :class:`memo.IdentityMemo`, the one reuse mechanism of the epoch
+    pipeline's steady-epoch fast path: a stage hands back its previous
+    output while its inputs are the very objects it last saw.
 ``autoscale``
     The closed-loop controller: target-utilization, step/hysteresis and
     predictive policies, warm-up and cooldown, elastic fleets with drained

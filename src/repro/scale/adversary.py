@@ -64,6 +64,7 @@ import numpy as np
 
 from ..exceptions import WorkloadError
 from .latency import LatencyModel, LatencyResult, _weighted_percentiles
+from .memo import IdentityMemo
 from .population import ClientPopulation
 from .scenario import ProblemTemplate
 from .solver import Allocation
@@ -326,6 +327,11 @@ class AdversaryRun:
     flagging is computed from the state *before* the epoch solves, and the
     solve's outcome only informs the next epoch's strategy and adoption
     updates.
+
+    A steady epoch costs only the lagged updates: with no game move and the
+    same template and offered-demand objects, :meth:`step` hands back the
+    previous epoch's flagging; :meth:`observe` skips a solved epoch it has
+    already digested, and a settled adoption skips its target.
     """
 
     def __init__(self, game: AdversaryGame, population: ClientPopulation,
@@ -358,6 +364,12 @@ class AdversaryRun:
         self._mask_cache: Tuple[Optional[ProblemTemplate], Optional[np.ndarray]] = (
             None, None,
         )
+        #: The last move-free flagging, keyed on (template, offered scale).
+        self._steady = IdentityMemo()
+        #: The last observation, keyed on what it digested.
+        self._observed = IdentityMemo()
+        #: Set while (observation, adoption, model) left adoption at rest.
+        self._settled = IdentityMemo()
 
     def retune(self, adoption: "AdoptionModel") -> None:
         """Swap the adoption disposition mid-run (a committed reconfig event).
@@ -405,7 +417,29 @@ class AdversaryRun:
         self._update_strategy(epoch, events)
         rekeyed, joiners = self._update_adoption(events)
         self._count_moves(events, rekeyed)
+        if not events:
+            # No move leaves the strategy and adoption state as they were,
+            # so only new inputs can change the flagging.
+            steady = self._steady.lookup(template, offered_scale)
+            if steady is not None:
+                self._epoch = steady
+                return steady
+        self._epoch = self._flag(template, offered_scale, epoch_seconds,
+                                 rekeyed, joiners, tuple(events))
+        if rekeyed:
+            steady = None  # the re-key load is this epoch's alone
+        elif events:
+            steady = replace(self._epoch, events=())
+        else:
+            steady = self._epoch
+        self._steady.store(steady, template, offered_scale)
+        return self._epoch
 
+    def _flag(self, template: ProblemTemplate, offered_scale: np.ndarray,
+              epoch_seconds: float, rekeyed: int,
+              joiners: Optional[np.ndarray],
+              events: Tuple[str, ...]) -> AdversaryEpoch:
+        """This epoch's flagging, budget coverage, multipliers and ledger."""
         isp = self.game.isp
         region_of = template.region_of
         regions = template.regions
@@ -428,7 +462,7 @@ class AdversaryRun:
 
         if not isp.enabled:
             n_flows = region_of.size
-            self._epoch = AdversaryEpoch(
+            return AdversaryEpoch(
                 served_multiplier=np.ones(n_flows),
                 extra_setups_per_flow=extra_setups,
                 exposed_hit=np.zeros(n_flows),
@@ -437,14 +471,13 @@ class AdversaryRun:
                 discriminated_share=0.0,
                 adoption_fraction=adoption_fraction,
                 clients_rekeyed=rekeyed,
-                events=tuple(events),
+                events=events,
                 flagged_bps_by_region=np.zeros(regions),
                 offered_bps_by_region=offered_region,
                 throttle_factor=1.0,
                 adoption_by_region=self.adoption.copy(),
                 offered_bps_per_flow=offered_bps,
             )
-            return self._epoch
 
         classifier = isp.classifier
         target_mask = self._target_mask(template)
@@ -508,7 +541,7 @@ class AdversaryRun:
                 isp.throttle_delay_seconds * (1.0 - self.factor),
             )
 
-        self._epoch = AdversaryEpoch(
+        return AdversaryEpoch(
             served_multiplier=served_multiplier,
             extra_setups_per_flow=extra_setups,
             exposed_hit=exposed_hit,
@@ -517,7 +550,7 @@ class AdversaryRun:
             discriminated_share=discriminated_share,
             adoption_fraction=adoption_fraction,
             clients_rekeyed=rekeyed,
-            events=tuple(events),
+            events=events,
             flagged_bps_by_region=flagged_region * coverage,
             offered_bps_by_region=offered_region,
             throttle_factor=self.factor,
@@ -526,7 +559,6 @@ class AdversaryRun:
             evasion=evasion,
             collateral=collateral,
         )
-        return self._epoch
 
     def observe(self, template: ProblemTemplate, allocation: Allocation,
                 problem, latency_result: Optional[LatencyResult]) -> None:
@@ -539,6 +571,24 @@ class AdversaryRun:
         adv = self._epoch
         if adv is None:
             return
+        # A flagging's served multiplier identifies it (a move epoch's
+        # flagging, carried forward without its labels, keeps the array).
+        inputs = (adv.served_multiplier, problem, allocation.rates,
+                  latency_result, self.game.adoption)
+        if self._observed.lookup(*inputs) is not None:
+            return  # the same epoch again: the observation stands
+        # The ISP's ledger (evasion/collateral) was measured at step time,
+        # pre-budget; only the harm gain needs the solved epoch.
+        self._observation = self._observed.store(AdversaryObservation(
+            evasion=adv.evasion, collateral=adv.collateral,
+            harm_gain=self._harm_gain(template, adv, allocation, problem,
+                                      latency_result),
+        ), *inputs)
+
+    def _harm_gain(self, template: ProblemTemplate, adv: AdversaryEpoch,
+                   allocation: Allocation, problem,
+                   latency_result: Optional[LatencyResult]) -> np.ndarray:
+        """Per-region harm(exposed) - harm(neutralized) of one solved epoch."""
         region_of = template.region_of
         satisfaction = allocation.satisfaction(problem)
 
@@ -574,16 +624,10 @@ class AdversaryRun:
         client_region = np.bincount(region_of, weights=clients,
                                     minlength=template.regions)
         client_region = np.maximum(client_region, 1.0)
-        gain_region = (
+        return (
             np.bincount(region_of, weights=(harm_exposed - harm_neutral) * clients,
                         minlength=template.regions)
             / client_region
-        )
-
-        # The ISP's ledger (evasion/collateral) was measured at step time,
-        # pre-budget; only the harm gain needs the solved epoch.
-        self._observation = AdversaryObservation(
-            evasion=adv.evasion, collateral=adv.collateral, harm_gain=gain_region,
         )
 
     # -- lagged updates ---------------------------------------------------------------
@@ -615,13 +659,17 @@ class AdversaryRun:
             return
         self._hold_until = epoch + 1 + isp.cooldown_epochs
 
-    def _update_adoption(self, events: List[str]) -> Tuple[int, np.ndarray]:
-        """Relax adoption toward the harm-gain target; returns rekey churn."""
-        joiners = np.zeros_like(self.adoption)
+    def _update_adoption(self, events: List[str]) -> Tuple[int, Optional[np.ndarray]]:
+        """Relax adoption toward the harm-gain target.
+
+        Returns the re-keyed client count and the per-region joiners
+        (``None`` while adoption rests).
+        """
         observation = self._observation
-        if observation is None:
-            return 0, joiners
         model = self.game.adoption
+        if observation is None or self._settled.lookup(observation,
+                                                       self.adoption, model):
+            return 0, None
         target = model.target(observation.harm_gain)
         delta = target - self.adoption
         step = np.where(delta > 0, model.adopt_rate, model.churn_rate) * delta
@@ -629,7 +677,8 @@ class AdversaryRun:
         # (the timeline's bit-identical-epoch reuse depends on it).
         step[np.abs(step) < _ADOPTION_QUANTUM] = 0.0
         if not step.any():
-            return 0, joiners
+            self._settled.store(True, observation, self.adoption, model)
+            return 0, None
         updated = np.clip(self.adoption + step, 0.0, 1.0)
         joiners = np.maximum(updated - self.adoption, 0.0)
         rekeyed = int(round(float((joiners * self.region_clients).sum())))

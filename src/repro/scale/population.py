@@ -16,7 +16,7 @@ in milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -206,6 +206,7 @@ class ClientPopulation:
         )
         self.ring_positions = _splitmix64(identities)
         self._ring_sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._counts: Dict[str, np.ndarray] = {}
 
     @classmethod
     def from_arrays(
@@ -242,6 +243,7 @@ class ClientPopulation:
         population.region_index = region_index
         population.ring_positions = ring_positions
         population._ring_sorted = ring_sorted
+        population._counts = {}
         return population
 
     # -- aggregation -----------------------------------------------------------------
@@ -252,12 +254,20 @@ class ClientPopulation:
         return len(self.mix.classes)
 
     def class_counts(self) -> np.ndarray:
-        """Subscribed clients per demand class."""
-        return np.bincount(self.class_index, minlength=self.n_classes)
+        """Subscribed clients per demand class (counted once; read-only)."""
+        return self._count("class", self.class_index, self.n_classes)
 
     def region_counts(self) -> np.ndarray:
-        """Subscribed clients per access region."""
-        return np.bincount(self.region_index, minlength=self.regions)
+        """Subscribed clients per access region (counted once; read-only)."""
+        return self._count("region", self.region_index, self.regions)
+
+    def _count(self, name: str, index: np.ndarray, length: int) -> np.ndarray:
+        counts = self._counts.get(name)
+        if counts is None:
+            counts = np.bincount(index, minlength=length)
+            counts.flags.writeable = False
+            self._counts[name] = counts
+        return counts
 
     def group_counts(self, site_index: np.ndarray, n_sites: int) -> np.ndarray:
         """Client counts per (region, class, site) given a site assignment.

@@ -60,6 +60,7 @@ from .autoscale import AutoscalePolicy, AutoscaleRun, Autoscaler, EpochMetrics
 from .costmodel import ProvisioningCostModel
 from .fleet import NeutralizerFleet
 from .latency import LatencyModel, LatencyResult, evaluate_latency
+from .memo import IdentityMemo
 from .population import ClientPopulation
 from .scenario import EpochProblem, FluidResult, ProblemTemplate, ScaleScenario
 from .solver import Allocation, solve_allocation
@@ -671,7 +672,9 @@ class _SolvedEpoch:
     """One epoch's full solved state, reused outright by an identical successor.
 
     An epoch with the same template and scaling (steady load, no events) is
-    the *same problem*, so its steady-state cost is a few array comparisons.
+    the *same problem*.  The stages upstream hand a steady epoch the very
+    scale arrays they handed its predecessor, so :meth:`matches` usually
+    stops at ``is``; equal arrays built afresh still match by value.
     """
 
     template: ProblemTemplate
@@ -698,7 +701,7 @@ class _SolvedEpoch:
                 extra_setups: Optional[np.ndarray]) -> bool:
         """Whether an epoch with these inputs is this same problem."""
         return template is self.template and all(
-            (mine is None and theirs is None)
+            mine is theirs
             or (mine is not None and theirs is not None
                 and np.array_equal(mine, theirs))
             for mine, theirs in ((self.served_scale, served_scale),
@@ -731,6 +734,18 @@ class _RunState:
         self.region_demand: Optional[np.ndarray] = None
         #: The last solved epoch (kept only when warm starts are on).
         self.memo: Optional[_SolvedEpoch] = None
+        #: The last epoch's load multipliers; equal successors keep this
+        #: object, so the demand memo below can key on identity.
+        self.regional: Optional[np.ndarray] = None
+        #: Throttle-free demand per (template, load multipliers).
+        self.demand = IdentityMemo()
+        #: Served scale times the adversary's multiplier, per operand pair.
+        self.served = IdentityMemo()
+        #: Load and peak-utilization figures per (fluid result, in-service
+        #: mask).
+        self.figures = IdentityMemo()
+        #: A reused epoch's allocation per solved allocation.
+        self.reused = IdentityMemo()
         #: Committed-capacity sums, cached while fleet state is unchanged.
         self._committed_key = None
         self._committed: Dict[str, float] = {}
@@ -978,33 +993,48 @@ class FluidTimeline:
         else:
             raise WorkloadError(f"unknown fleet event {event!r}")
 
-    def _demand_scale(self, template: ProblemTemplate, epoch: int, t: float,
-                      throttles: Sequence[DiscriminationToggle],
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-flow (offered, served) demand multipliers for this epoch.
+    def _load_multipliers(self, t: float,
+                          previous: Optional[np.ndarray]) -> np.ndarray:
+        """The load curve's per-region multipliers at ``t``, validated.
 
-        The load curve scales what clients *offer*; discrimination throttles
-        further cap what the access ISP lets through.  Delivered fraction is
-        judged against the offered demand, so a rollout shows up as harm
-        rather than as demand conveniently disappearing.
+        Multipliers equal to ``previous`` (already validated) come back as
+        that very object, so steady load keeps one identity across epochs.
         """
         regional = self.load.multipliers(t, self.population.regions)
+        if previous is not None and np.array_equal(regional, previous):
+            return previous
         if regional.shape != (self.population.regions,):
             raise WorkloadError("load curve returned the wrong number of regions")
         if np.any(regional < 0):
             raise WorkloadError("load curve returned a negative multiplier")
+        return regional
+
+    def _demand(self, template: ProblemTemplate, regional: np.ndarray,
+                throttles: Sequence[DiscriminationToggle] = (),
+                ) -> Tuple[np.ndarray, np.ndarray, float, Dict[str, float]]:
+        """Per-flow offered and served scales, offered bps, bps per class.
+
+        The load curve scales what clients *offer*; discrimination throttles
+        (all live: expired windows are pruned) further cap what the access
+        ISP lets through.  Delivered fraction is judged against the offered
+        demand, so a rollout shows up as harm rather than as demand
+        conveniently disappearing.
+        """
         offered = regional[template.region_of].astype(np.float64)
-        served = offered.copy()
+        served = offered.copy() if throttles else offered
         for toggle in throttles:
-            if toggle.until_epoch is not None and epoch >= toggle.until_epoch:
-                continue
             hit = template.region_of == toggle.region
             if toggle.class_names is not None:
                 class_ids = [self.population.mix.names.index(name)
                              for name in toggle.class_names]
                 hit &= np.isin(template.class_of, class_ids)
             served[hit] *= toggle.factor
-        return offered, served
+        offered_flow_bps = template.base_demands * offered * template.group_clients
+        by_class = np.bincount(template.class_of, weights=offered_flow_bps,
+                               minlength=self.population.n_classes)
+        return offered, served, float(offered_flow_bps.sum()), {
+            name: float(by_class[index])
+            for index, name in enumerate(self.population.mix.names)}
 
     def _capacity_scale(self, epoch: int,
                         degradations: Sequence[CapacityDegradation]) -> Optional[np.ndarray]:
@@ -1194,22 +1224,19 @@ class FluidTimeline:
 
     def _stage_demand(self, state: _RunState, epoch: int,
                       t: float) -> _EpochDemand:
-        """Stage 4: demand and capacity scaling, then the adversary's move."""
+        """Stage 4: demand and capacity scaling, then the adversary's move.
+
+        A steady epoch (same template, equal load multipliers, no live
+        throttle) reuses its predecessor's demand arrays outright.
+        """
         template = state.template
-        mix = self.population.mix
         with self.telemetry.span("demand"):
-            offered_scale, served_scale = self._demand_scale(
-                template, epoch, t, state.throttles
-            )
+            regional = state.regional = self._load_multipliers(t, state.regional)
+            demand = (self._demand(template, regional, state.throttles)
+                      if state.throttles else
+                      state.demand.get(self._demand, template, regional))
+            offered_scale, served_scale, offered_bps, demand_bps_by_class = demand
             capacity_scale = self._capacity_scale(epoch, state.degradations)
-            offered_flow_bps = (template.base_demands * offered_scale
-                                * template.group_clients)
-            offered_by_class = np.bincount(
-                template.class_of, weights=offered_flow_bps,
-                minlength=self.population.n_classes,
-            )
-            demand_bps_by_class = {name: float(offered_by_class[index])
-                                   for index, name in enumerate(mix.names)}
         adversary_epoch = None
         extra_setups: Optional[np.ndarray] = None
         if state.adversary is not None:
@@ -1217,15 +1244,15 @@ class FluidTimeline:
                 adversary_epoch = state.adversary.step(
                     epoch, template, offered_scale, self.epoch_seconds
                 )
-                served_scale = served_scale * adversary_epoch.served_multiplier
+                served_scale = state.served.get(
+                    np.multiply, served_scale, adversary_epoch.served_multiplier)
                 extra_setups = adversary_epoch.extra_setups_per_flow
             elog = self.telemetry.events
             if elog is not None and adversary_epoch.events:
                 elog.emit("adversary", epoch=epoch,
                           events=list(adversary_epoch.events))
-        return _EpochDemand(float(offered_flow_bps.sum()), demand_bps_by_class,
-                            served_scale, capacity_scale, extra_setups,
-                            adversary_epoch)
+        return _EpochDemand(offered_bps, demand_bps_by_class, served_scale,
+                            capacity_scale, extra_setups, adversary_epoch)
 
     def _stage_solve(self, state: _RunState, demand: _EpochDemand,
                      ) -> Tuple[_SolvedEpoch, Allocation, float]:
@@ -1243,8 +1270,7 @@ class FluidTimeline:
             # previous answer IS the answer.  Only a game move can change
             # the neutralized/exposed split.
             with telemetry.span("solve", reused=True) as reuse_span:
-                allocation = replace(memo.allocation, iterations=0,
-                                     warm_started=True)
+                allocation = state.reused.get(_reused, memo.allocation)
                 if (memo.latency_result is not None
                         and adversary_epoch is not None and adversary_epoch.events):
                     split, experienced = self._adversary_latency(
@@ -1323,21 +1349,18 @@ class FluidTimeline:
                                         solved.epoch_problem.problem,
                                         solved.latency_result)
             in_service = fleet.in_service_mask()
-            n_in_service = int(in_service.sum())
+            (n_in_service, mean_load, peak_load, peak_cpu,
+             peak_uplink) = state.figures.get(_load_figures, fluid, in_service)
             warming = (tuple(state.autoscale.warming)
                        if state.autoscale is not None else ())
             demand_multiplier = (demand.offered_bps / state.base_demand_bps
                                  if state.base_demand_bps else 0.0)
             delivered = (fluid.total_goodput_bps / demand.offered_bps
                          if demand.offered_bps > 0 else 1.0)
-            serving_load = np.maximum(fluid.cpu_utilization,
-                                      fluid.uplink_utilization)[in_service]
             state.last_metrics = EpochMetrics(
                 served_sites=n_in_service,
-                mean_utilization=(float(serving_load.mean())
-                                  if n_in_service else 0.0),
-                peak_utilization=(float(serving_load.max())
-                                  if n_in_service else 0.0),
+                mean_utilization=mean_load,
+                peak_utilization=peak_load,
                 delivered_fraction=delivered,
                 demand_multiplier=demand_multiplier,
                 latency_p95_seconds=solved.latency[1],
@@ -1364,8 +1387,8 @@ class FluidTimeline:
                 goodput_bps=fluid.total_goodput_bps,
                 goodput_bps_by_class=dict(fluid.goodput_bps),
                 delivered_fraction=delivered,
-                peak_cpu_utilization=float(fluid.cpu_utilization.max()),
-                peak_uplink_utilization=float(fluid.uplink_utilization.max()),
+                peak_cpu_utilization=peak_cpu,
+                peak_uplink_utilization=peak_uplink,
                 key_setup_pps=fluid.key_setup_pps,
                 clients_remapped=remapped,
                 ring_moved_fraction=ring_moved,
@@ -1380,7 +1403,7 @@ class FluidTimeline:
                 latency_p95_seconds=recorded[1],
                 latency_p99_seconds=recorded[2],
                 latency_slo_violations=recorded[3],
-                demand_bps_by_class=demand.demand_bps_by_class,
+                demand_bps_by_class=dict(demand.demand_bps_by_class),
                 neutralized_latency_p95=solved.split[0],
                 exposed_latency_p95=solved.split[1],
                 **adversary_fields,
@@ -1409,3 +1432,21 @@ class FluidTimeline:
                     site_active=[bool(site.active) for site in fleet.sites],
                 )
         return record
+
+
+def _reused(allocation: Allocation) -> Allocation:
+    """A solved allocation as a reusing epoch records it: warm, no passes."""
+    return replace(allocation, iterations=0, warm_started=True)
+
+
+def _load_figures(fluid: FluidResult, in_service: np.ndarray,
+                  ) -> Tuple[int, float, float, float, float]:
+    """Sites in service, their mean and peak load, peak CPU and uplink use."""
+    n_in_service = int(in_service.sum())
+    serving_load = np.maximum(fluid.cpu_utilization,
+                              fluid.uplink_utilization)[in_service]
+    return (n_in_service,
+            float(serving_load.mean()) if n_in_service else 0.0,
+            float(serving_load.max()) if n_in_service else 0.0,
+            float(fluid.cpu_utilization.max()),
+            float(fluid.uplink_utilization.max()))

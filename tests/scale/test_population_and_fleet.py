@@ -64,6 +64,13 @@ class TestPopulation:
         counts = population.group_counts(sites, fleet.n_sites)
         assert counts.shape == (4, population.n_classes, 5)
         assert counts.sum() == population.n_clients
+        # The marginals are counted once per population and shared read-only.
+        for marginal, axes in ((population.region_counts, (1, 2)),
+                               (population.class_counts, (0, 2))):
+            assert np.array_equal(marginal(), counts.sum(axis=axes))
+            assert marginal() is marginal()
+            with pytest.raises(ValueError):
+                marginal()[0] = 0
 
     def test_empty_population_rejected(self):
         with pytest.raises(WorkloadError):

@@ -1,6 +1,8 @@
 """Timeline properties: conservation, warm-start equivalence, failover churn."""
 
+import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from repro.exceptions import WorkloadError
 import repro.scale.runner as runner_module
 import repro.scale.timeline as timeline_module
 from repro.scale import (
+    AdoptionModel,
     AdversaryCampaignRunner,
+    AdversaryGame,
+    AdversaryRun,
     CapacityDegradation,
     ClientPopulation,
     CompositeLoad,
@@ -19,14 +24,21 @@ from repro.scale import (
     EpochRecord,
     FlashCrowdLoad,
     FluidTimeline,
+    IspStrategy,
     LatencyCampaignRunner,
+    LatencyModel,
     LinearRampLoad,
     NeutralizerFleet,
+    ReconfigEvent,
     SiteFailure,
     SiteRecovery,
     StochasticCampaignRunner,
+    Telemetry,
+    canonical_result_bytes,
+    provisioned_fleet,
 )
 from repro.scale.catalogue import build_scenario, scenario_names
+from repro.scale.memo import IdentityMemo
 from repro.units import mbps
 
 
@@ -213,43 +225,60 @@ class TestWarmStart:
         return built
 
     @staticmethod
-    def assert_records_agree(label, got, expected):
-        """Every record field but the solver's bookkeeping, to rtol=1e-9."""
+    def assert_records_agree(label, got, expected, *, skip=(), rtol=0.0):
+        """Every record field but ``skip``: exactly, or to ``rtol``."""
         assert len(got.records) == len(expected.records), label
         for hot, fresh in zip(got.records, expected.records):
             for item in dataclasses.fields(EpochRecord):
-                if item.name in ("solver_iterations", "warm_started",
-                                 "solve_seconds"):
+                if item.name in skip:
                     continue
                 want = getattr(fresh, item.name)
                 have = getattr(hot, item.name)
                 where = f"{label} epoch {fresh.epoch} {item.name}"
                 if isinstance(want, dict):
-                    assert have.keys() == want.keys(), where
-                    have, want = list(have.values()), [want[key] for key in have]
-                if isinstance(want, (float, list)):
-                    np.testing.assert_allclose(have, want, rtol=1e-9,
+                    assert list(have) == list(want), where
+                    have, want = list(have.values()), list(want.values())
+                if rtol and isinstance(want, (float, list)):
+                    np.testing.assert_allclose(have, want, rtol=rtol,
                                                err_msg=where)
                 else:
                     assert have == want, where
 
     def test_warm_and_cold_timelines_agree_exactly_enough(self, monkeypatch):
-        """The solved-epoch memo is an oracle-checked shortcut.
+        """The solved-epoch memo and the steady-epoch fast path are shortcuts.
 
-        Every input runs three ways: as configured, with the memo never
-        hitting (solver warm starts unchanged), and with ``warm_start=False``
-        (no memo, no solver warm start).  The first two must agree on every
-        field.  So must the first and third, except where alpha-fair
-        re-solves offered warm prices take the solver's relaxed 3e-4 exit
-        (``elastic_web_mix``): those stop at a different point inside that
-        tolerance than a cold solve does.
+        Every input runs four ways: as configured; with the fast path's
+        identity reuses off (``IdentityMemo`` never hits); with those and
+        the solved-epoch memo off (solver warm starts unchanged); and with
+        ``warm_start=False`` (no memo, no solver warm start).  The first
+        two must agree exactly on every field but the wall-clock solve
+        seconds, and the first and third on every field but the solver's
+        bookkeeping.  So must the first and fourth, to rtol 1e-9, except
+        where alpha-fair re-solves offered warm prices take the solver's
+        relaxed 3e-4 exit (``elastic_web_mix``): those stop at a different
+        point inside that tolerance than a cold solve does.
         """
         relaxed_exit = {"elastic_web_mix"}
+        bookkeeping = ("solver_iterations", "warm_started", "solve_seconds")
         timelines = {"diurnal failover": small_timeline(
             clients=12_000, seed=11,
             load=DiurnalLoad(trough=0.3, peak=1.4),
             events=[SiteFailure(6, "site00"), SiteRecovery(9, "site00")],
         )}
+        # Adoption jumps to its target in one epoch (a re-key epoch followed
+        # by a move-free one), rests, then a retune moves it again.
+        population = ClientPopulation(2_000, seed=9)
+        timelines["adoption jump and retune"] = FluidTimeline(
+            population, provisioned_fleet(population, 4, headroom=3.0),
+            epochs=8, epoch_seconds=900.0,
+            adversary=AdversaryGame(
+                isp=IspStrategy(aggressiveness=1.0, budget_fraction=1.0,
+                                escalate_evasion=1.0, blanket_evasion=1.0,
+                                backoff_collateral=1.0),
+                adoption=AdoptionModel(adopt_rate=1.0, adoption_cost=0.0)),
+            events=[ReconfigEvent(4, adoption=AdoptionModel(
+                adopt_rate=1.0, adoption_cost=0.0, sensitivity=2.0))],
+        )
         for name in scenario_names():
             timelines[name] = build_scenario(name, clients=2_000, seed=21)
         for label, runner in (
@@ -269,16 +298,131 @@ class TestWarmStart:
             reused += sum(record.warm_started and record.solver_iterations == 0
                           for record in warm.records)
             with monkeypatch.context() as patch:
+                patch.setattr(IdentityMemo, "lookup", lambda *args: None)
+                no_fast_path = timeline.run()
                 patch.setattr(timeline_module._SolvedEpoch, "matches",
                               lambda *args: False)
                 never_reused = timeline.run()
-            self.assert_records_agree(label, warm, never_reused)
+            self.assert_records_agree(label, warm, no_fast_path,
+                                      skip=("solve_seconds",))
+            self.assert_records_agree(label, warm, never_reused,
+                                      skip=bookkeeping)
             timeline.warm_start = False
             cold = timeline.run()
             assert cold.warm_fraction == 0.0, label
             if label not in relaxed_exit:
-                self.assert_records_agree(label, warm, cold)
+                self.assert_records_agree(label, warm, cold, skip=bookkeeping,
+                                          rtol=1e-9)
         assert reused > 0
+
+    def test_fast_path_changes_no_event_or_metric(self, monkeypatch):
+        """A tiny obs-enabled E16 campaign, with and without the fast path.
+
+        Same result bytes, same canonical event stream, same metrics
+        registry — counters and histograms, key order included.
+        """
+        def campaign():
+            telemetry = Telemetry(trace=False, events=True)
+            result = AdversaryCampaignRunner(
+                clients=2_000, epochs=24, replicas_per_point=1, seed=21,
+                telemetry=telemetry).run()
+            return (canonical_result_bytes(result),
+                    telemetry.events.to_ndjson(),
+                    json.dumps(telemetry.metrics.as_dict()))
+
+        fast = campaign()
+        monkeypatch.setattr(IdentityMemo, "lookup", lambda *args: None)
+        assert campaign() == fast
+
+    def test_steady_epochs_skip_the_game_work(self, monkeypatch):
+        """Work guard: only epochs whose inputs changed redo the game's work.
+
+        Counts the adversary's full flagging computations and full
+        observations on one E16 replica.  A flagging's inputs are the
+        template, the offered demand, the game's moves and a re-key in the
+        previous epoch; an observation's are that flagging and the solved
+        problem.  Demand is compared by value, so an edit that loses the
+        identity hand-off between stages fails here.
+        """
+        runner = AdversaryCampaignRunner(
+            clients=2_000, epochs=80, replicas_per_point=1, seed=5,
+            aggressiveness=(0.7,), sensitivities=(12.0,))
+        (timeline,) = self.replica_timelines(monkeypatch, runner)
+        calls = collections.Counter()
+        for name in ("_flag", "_harm_gain"):
+            def counted(*args, _name=name, _original=getattr(AdversaryRun, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(AdversaryRun, name, counted)
+        inputs, solved = [], set()
+        step, solve = AdversaryRun.step, timeline_module.solve_allocation
+
+        def recording_step(run, epoch, template, offered_scale, epoch_seconds):
+            inputs.append((template, offered_scale.copy()))
+            return step(run, epoch, template, offered_scale, epoch_seconds)
+
+        def recording_solve(*args, **kwargs):
+            solved.add(len(inputs) - 1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(AdversaryRun, "step", recording_step)
+        monkeypatch.setattr(timeline_module, "solve_allocation", recording_solve)
+        records = timeline.run().records
+        flagging_changed = [
+            epoch == 0 or bool(record.adversary_events)
+            or records[epoch - 1].clients_rekeyed > 0
+            or inputs[epoch][0] is not inputs[epoch - 1][0]
+            or not np.array_equal(inputs[epoch][1], inputs[epoch - 1][1])
+            for epoch, record in enumerate(records)
+        ]
+        observation_changed = [changed or epoch in solved
+                               for epoch, changed in enumerate(flagging_changed)]
+        assert calls["_flag"] == sum(flagging_changed)
+        assert calls["_harm_gain"] == sum(observation_changed)
+        assert sum(observation_changed) < len(records)
+
+    def test_memo_hit_with_a_game_move_matches_a_fresh_solve(self, monkeypatch):
+        """A game move that leaves the solver's inputs bit-identical.
+
+        At throttle factor 1.0 (``throttle_floor=1``) flagged traffic is
+        served in full: the ``blanket on`` move and the adoption churn after
+        it change no served demand and nobody re-keys, so every epoch after
+        the first reuses the solved epoch while the game moves, and only the
+        neutralized/exposed split is recomputed.  The records must equal a
+        twin that never reuses anything.
+        """
+        population = ClientPopulation(2_000, seed=9)
+        game = AdversaryGame(
+            isp=IspStrategy(aggressiveness=0.5, throttle_floor=1.0,
+                            escalate_evasion=0.05, blanket_evasion=0.05),
+            adoption=AdoptionModel(initial_adoption=0.5),
+        )
+        timeline = FluidTimeline(
+            population, provisioned_fleet(population, 4, headroom=1.4),
+            epochs=6, epoch_seconds=900.0, adversary=game,
+            latency=LatencyModel(), latency_slo_seconds=0.08,
+        )
+        solves = []
+        solve = timeline_module.solve_allocation
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(timeline_module, "solve_allocation", counted)
+            reused = timeline.run()
+        assert len(solves) == 1
+        assert reused.records[1].adversary_events[0] == "blanket on"
+        assert all(record.adversary_events for record in reused.records[1:])
+        with monkeypatch.context() as patch:
+            patch.setattr(IdentityMemo, "lookup", lambda *args: None)
+            patch.setattr(timeline_module._SolvedEpoch, "matches",
+                          lambda *args: False)
+            fresh = timeline.run()
+        self.assert_records_agree(
+            "blanket at factor 1", reused, fresh,
+            skip=("solver_iterations", "warm_started", "solve_seconds"))
 
     def test_steady_congestion_reuses_the_previous_allocation(self):
         warm = self.congested_timeline(warm_start=True).run()

@@ -4,7 +4,8 @@
 Two modes, both exercised by the ``parallel-equivalence`` CI job:
 
 ``equivalence``
-    Runs a tiny E14 and E16 campaign serially, at ``n_workers=1``, and at
+    Runs a tiny E14 (availability), E15 (alpha-fair latency) and E16
+    (arms race) campaign serially, at ``n_workers=1``, and at
     ``n_workers=4``, and fails on any byte difference between their
     canonical aggregate tables (wall-clock fields excluded — everything
     else must match exactly).
@@ -33,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scale import (  # noqa: E402
     AdversaryCampaignRunner,
+    LatencyCampaignRunner,
     StochasticCampaignRunner,
     canonical_result_bytes,
     run_churn_slo_frontier,
@@ -52,6 +54,11 @@ def make_e14():
         clients=CLIENTS, epochs=20, replicas=8, seed=SEED)
 
 
+def make_e15():
+    return LatencyCampaignRunner(
+        clients=CLIENTS, epochs=20, replicas=8, seed=SEED)
+
+
 def make_e16():
     return AdversaryCampaignRunner(
         clients=CLIENTS, epochs=16, replicas_per_point=2, seed=SEED,
@@ -60,7 +67,8 @@ def make_e16():
 
 def check_equivalence() -> int:
     failures = 0
-    for label, factory in (("E14", make_e14), ("E16", make_e16)):
+    for label, factory in (("E14", make_e14), ("E15", make_e15),
+                           ("E16", make_e16)):
         serial = canonical_result_bytes(factory().run())
         for n_workers in (1, 4):
             candidate = canonical_result_bytes(
